@@ -14,10 +14,21 @@
    node still points to that first unsafe node.  Validation compares the
    *physical* link record, so any concurrent CAS on the link is detected.
 
-   Hazard-slot roles (§3.2): Hp0 = next, Hp1 = curr, Hp2 = last safe node
-   (prev), Hp3 = first unsafe node.  All [dup] calls copy from a lower to a
-   higher index, preserving the ascending-order discipline the paper
-   requires to avoid the transient-unprotected race in retire scans.
+   Hazard slots (§3.2): three traversal slots hold next, curr and prev
+   (the last safe node); slot 3 holds the first unsafe node.  Which of
+   slots 0-2 plays which role is not fixed: the traversal threads the
+   three indices as [~sn ~sc ~sp] and rotates them instead of copying
+   protections between slots.  A safe-zone hop is (sn, sc, sp) ->
+   (sp, sn, sc): the new next is protected into the slot that held the
+   old prev, which has just left the traversal window; a dangerous-zone
+   hop swaps sn and sc and keeps sp (the last safe node stays put).  So
+   a hop publishes exactly once, and no protection ever moves: a slot is
+   only overwritten once the node it protects is behind the window.  The
+   transient-unprotected race that the paper's ascending [dup] order
+   guards against (a retire scan reading the destination before the copy
+   and the source after the overwrite) therefore cannot arise.  The one
+   copy left — curr into slot 3 on entering the dangerous zone — goes
+   from a lower index to a higher one, so it keeps that order anyway.
 
    The operation fast paths are allocation-free: protected loads go through
    the scheme's staged reader (built once per handle), link values are the
@@ -34,9 +45,7 @@
 module N = List_node
 module G = Smr.Smr_intf.Guard
 
-let hp_next = 0
-let hp_curr = 1
-let hp_prev = 2
+(* Slots 0-2 rotate between next/curr/prev (see above); slot 3 is fixed. *)
 let hp_unsafe = 3
 let slots_needed = 4
 
@@ -118,7 +127,8 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   (* Do_Find.  Results land in [h.prev]/[h.expected]/[h.pos_curr]/
      [h.pos_next]; the body is a top-level recursion over explicit
-     arguments (including the bracket token) so a steady-state attempt
+     arguments (including the bracket token and the three rotating slot
+     indices [~sn ~sc ~sp], unboxed ints) so a steady-state attempt
      allocates nothing. *)
   let rec do_find h tok key ~srch ~on_step =
     try find_attempt h tok key ~srch ~on_step
@@ -127,45 +137,47 @@ module Make (S : Smr.Smr_intf.S) = struct
       do_find h tok key ~srch ~on_step
 
   and find_attempt h tok key ~srch ~on_step =
-    let first = protect_link h tok ~slot:hp_curr h.t.head in
+    let first = protect_link h tok ~slot:1 h.t.head in
     h.prev <- h.t.head;
     h.expected <- first;
     let first = node_of first in
-    step h tok key ~srch ~on_step first
-      (protect_link h tok ~slot:hp_next (N.next_field first))
+    step h tok key ~srch ~on_step ~sn:0 ~sc:1 ~sp:2 first
+      (protect_link h tok ~slot:0 (N.next_field first))
 
   (* Dangerous-zone validation: the last safe node must still hold the
      exact link record we read from it.  On failure, §3.2.1 recovery
-     re-reads the link: if the last safe node is itself now deleted we
-     must restart from the head; otherwise traversal continues at the
-     link's new target. *)
-  and validate h tok =
+     re-reads the link into the curr slot [sc]: if the last safe node is
+     itself now deleted we must restart from the head; otherwise
+     traversal continues at the link's new target. *)
+  and validate h tok ~sc =
     (* raw-load: validation witness — the physical record is only compared,
        never dereferenced. *)
     if Atomic.get h.prev == h.expected then None
     else if not h.t.recovery then raise Restart
     else begin
-      let l = protect_link h tok ~slot:hp_curr h.prev in
+      let l = protect_link h tok ~slot:sc h.prev in
       if l.N.marked then raise Restart;
       h.expected <- l;
       Some (node_of l)
     end
 
-  (* Phase 1 ([step] on an unmarked [next]): the safe zone.  Identical
-     hazard discipline to the Harris-Michael list: shift curr->prev
-     (Hp1->Hp2) and next->curr (Hp0->Hp1) while nodes are unmarked.
+  (* Phase 1 ([step] on an unmarked [next]): the safe zone.  Same hazard
+     discipline as the Harris-Michael list: curr becomes prev and next
+     becomes curr by renaming their slots, (sn, sc, sp) -> (sp, sn, sc),
+     and the new next is protected into the old prev's slot.
 
      Phase 2: the dangerous zone.  [curr] is marked and [next] is its
-     (marked) successor link whose target is protected in Hp0 but not yet
+     (marked) successor link whose target is protected in [sn] but not yet
      validated.  We validate the last safe link *before* dereferencing
-     the protected target (Theorem 2's ordering), then advance. *)
-  and step h tok key ~srch ~on_step (curr : N.t) (next : N.link) =
+     the protected target (Theorem 2's ordering), then advance by swapping
+     [sn] and [sc]; [sp] keeps the last safe node throughout. *)
+  and step h tok key ~srch ~on_step ~sn ~sc ~sp (curr : N.t) (next : N.link) =
     on_step ();
     if next.N.marked then begin
       (* [curr] is logically deleted: protect the first unsafe node and
          enter the dangerous zone. *)
-      S.dup h.s ~src:hp_curr ~dst:hp_unsafe;
-      phase2 h tok key ~srch ~on_step ~zstart:curr next
+      S.dup h.s ~src:sc ~dst:hp_unsafe;
+      phase2 h tok key ~srch ~on_step ~sn ~sc ~sp ~zstart:curr next
     end
     else if N.key curr >= key then begin
       h.pos_curr <- curr;
@@ -174,27 +186,25 @@ module Make (S : Smr.Smr_intf.S) = struct
     else begin
       h.prev <- N.next_field curr;
       h.expected <- next;
-      S.dup h.s ~src:hp_curr ~dst:hp_prev;
       let curr' = node_of next in
-      S.dup h.s ~src:hp_next ~dst:hp_curr;
-      step h tok key ~srch ~on_step curr'
-        (protect_link h tok ~slot:hp_next (N.next_field curr'))
+      step h tok key ~srch ~on_step ~sn:sp ~sc:sn ~sp:sc curr'
+        (protect_link h tok ~slot:sp (N.next_field curr'))
     end
 
-  and phase2 h tok key ~srch ~on_step ~zstart (next : N.link) =
+  and phase2 h tok key ~srch ~on_step ~sn ~sc ~sp ~zstart (next : N.link) =
     on_step ();
-    match validate h tok with
+    match validate h tok ~sc with
     | Some recovered ->
-        step h tok key ~srch ~on_step recovered
-          (protect_link h tok ~slot:hp_next (N.next_field recovered))
+        step h tok key ~srch ~on_step ~sn ~sc ~sp recovered
+          (protect_link h tok ~slot:sn (N.next_field recovered))
     | None ->
         let curr' = node_of next in
-        S.dup h.s ~src:hp_next ~dst:hp_curr;
-        let next' = protect_link h tok ~slot:hp_next (N.next_field curr') in
-        if next'.N.marked then phase2 h tok key ~srch ~on_step ~zstart next'
+        let next' = protect_link h tok ~slot:sc (N.next_field curr') in
+        if next'.N.marked then
+          phase2 h tok key ~srch ~on_step ~sn:sc ~sc:sn ~sp ~zstart next'
         else if srch then
           (* Search skips the chain without unlinking (read-only). *)
-          step h tok key ~srch ~on_step curr' next'
+          step h tok key ~srch ~on_step ~sn:sc ~sc:sn ~sp curr' next'
         else begin
           (* Unlink the whole chain [zstart, curr') with one CAS. *)
           let desired = curr'.N.in_link in
@@ -202,7 +212,7 @@ module Make (S : Smr.Smr_intf.S) = struct
             raise Restart;
           retire_chain h zstart ~until:curr';
           h.expected <- desired;
-          step h tok key ~srch ~on_step curr' next'
+          step h tok key ~srch ~on_step ~sn:sc ~sc:sn ~sp curr' next'
         end
 
   let check_key key =
@@ -335,9 +345,10 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   (* Range membership scan ([range_mem]): every unmarked key in [lo, hi],
      ascending.  This is the guards' composition proof: the scan keeps the
-     usual four slots protected AND passes the successor's guard as a
-     first-class value from hop to hop — several simultaneously live
-     guards under one bracket token, none of which can outlive it.
+     usual four slots protected (rotating like [step]) AND passes the
+     successor's guard as a first-class value from hop to hop — several
+     simultaneously live guards under one bracket token, none of which can
+     outlive it.
 
      Semantics under concurrency: keys strictly increase along the
      physical list, so emission is monotone; a Restart re-traverses from
@@ -353,25 +364,26 @@ module Make (S : Smr.Smr_intf.S) = struct
         scan h tok ~lo ~hi acc
 
   and scan_attempt h tok ~lo ~hi acc =
-    let first_g = S.protect h.rdr tok ~slot:hp_curr h.t.head in
+    let first_g = S.protect h.rdr tok ~slot:1 h.t.head in
     let first = G.deref first_g tok in
     h.prev <- h.t.head;
     h.expected <- first;
-    scan_step h tok ~lo ~hi acc (node_of first)
+    scan_step h tok ~lo ~hi acc ~sn:0 ~sc:1 ~sp:2 (node_of first)
 
-  and scan_step h tok ~lo ~hi acc (curr : N.t) =
-    let next_g = S.protect h.rdr tok ~slot:hp_next (N.next_field curr) in
-    scan_emit h tok ~lo ~hi acc curr next_g
+  and scan_step h tok ~lo ~hi acc ~sn ~sc ~sp (curr : N.t) =
+    let next_g = S.protect h.rdr tok ~slot:sn (N.next_field curr) in
+    scan_emit h tok ~lo ~hi acc ~sn ~sc ~sp curr next_g
 
   (* [next_g] is the guard for [curr]'s successor link, still branded: it
-     is only dereferenced here, under the same token that issued it. *)
-  and scan_emit h tok ~lo ~hi acc curr next_g =
+     is only dereferenced here, under the same token that issued it.  The
+     slots rotate exactly as in [step]/[phase2]. *)
+  and scan_emit h tok ~lo ~hi acc ~sn ~sc ~sp curr next_g =
     let next = G.deref next_g tok in
     if next.N.marked then begin
       (* [curr] is logically deleted — enter the dangerous zone exactly
          like [step], but read-only. *)
-      S.dup h.s ~src:hp_curr ~dst:hp_unsafe;
-      scan_zone h tok ~lo ~hi acc next
+      S.dup h.s ~src:sc ~dst:hp_unsafe;
+      scan_zone h tok ~lo ~hi acc ~sn ~sc ~sp next
     end
     else
       let k = N.key curr in
@@ -385,22 +397,19 @@ module Make (S : Smr.Smr_intf.S) = struct
         begin
           h.prev <- N.next_field curr;
           h.expected <- next;
-          S.dup h.s ~src:hp_curr ~dst:hp_prev;
-          let curr' = node_of next in
-          S.dup h.s ~src:hp_next ~dst:hp_curr;
-          scan_step h tok ~lo ~hi acc curr'
+          scan_step h tok ~lo ~hi acc ~sn:sp ~sc:sn ~sp:sc (node_of next)
         end
 
-  and scan_zone h tok ~lo ~hi acc (next : N.link) =
-    match validate h tok with
-    | Some recovered -> scan_step h tok ~lo ~hi acc recovered
+  and scan_zone h tok ~lo ~hi acc ~sn ~sc ~sp (next : N.link) =
+    match validate h tok ~sc with
+    | Some recovered -> scan_step h tok ~lo ~hi acc ~sn ~sc ~sp recovered
     | None ->
         let curr' = node_of next in
-        S.dup h.s ~src:hp_next ~dst:hp_curr;
-        let next_g' = S.protect h.rdr tok ~slot:hp_next (N.next_field curr') in
+        let next_g' = S.protect h.rdr tok ~slot:sc (N.next_field curr') in
         let next' = G.deref next_g' tok in
-        if next'.N.marked then scan_zone h tok ~lo ~hi acc next'
-        else scan_emit h tok ~lo ~hi acc curr' next_g'
+        if next'.N.marked then
+          scan_zone h tok ~lo ~hi acc ~sn:sc ~sc:sn ~sp next'
+        else scan_emit h tok ~lo ~hi acc ~sn:sc ~sc:sn ~sp curr' next_g'
 
   let range_body =
     { Smr.Smr_intf.op3 = (fun tok h lo hi -> scan h tok ~lo ~hi []) }

@@ -12,22 +12,10 @@
 
     Keys may be any [int] below [max_int] (the tail-sentinel key). *)
 
-(** Hazard-slot roles used by the traversal (§3.2). *)
-
-val hp_next : int
-(** Slot 0: the next node. *)
-
-val hp_curr : int
-(** Slot 1: the current node. *)
-
-val hp_prev : int
-(** Slot 2: the last safe (unmarked) node. *)
-
-val hp_unsafe : int
-(** Slot 3: the first unsafe node — the head of the marked chain. *)
-
 val slots_needed : int
-(** Number of hazard slots to pass to {!Smr.Smr_intf.S.create} ([4]). *)
+(** Number of hazard slots to pass to {!Smr.Smr_intf.S.create} ([4]):
+    three that rotate between the next, current and last safe node, plus
+    one for the first node of a marked chain (§3.2). *)
 
 module Make (S : Smr.Smr_intf.S) : sig
   type t

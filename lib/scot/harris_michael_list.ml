@@ -8,7 +8,9 @@
    traversed.  The price is more CAS operations, mandatory restarts under
    contention (Table 2) and no read-only searches.
 
-   Hazard-slot roles: Hp0 = next, Hp1 = curr, Hp2 = prev.
+   Hazard slots: three, rotating between next, curr and prev exactly as
+   in [Harris_list] — a hop renames the slots instead of copying
+   protections between them, so it publishes exactly once.
 
    Like [Harris_list], the operation fast paths are allocation-free: staged
    protected loads, canonical link records, prebuilt retire records, and
@@ -19,9 +21,6 @@
 module N = List_node
 module G = Smr.Smr_intf.Guard
 
-let hp_next = 0
-let hp_curr = 1
-let hp_prev = 2
 let slots_needed = 3
 
 module Make (S : Smr.Smr_intf.S) = struct
@@ -88,13 +87,17 @@ module Make (S : Smr.Smr_intf.S) = struct
       do_find h tok key
 
   and find_attempt h tok key =
-    let first = protect_link h tok ~slot:hp_curr h.t.head in
+    let first = protect_link h tok ~slot:1 h.t.head in
     h.prev <- h.t.head;
     h.expected <- first;
-    step h tok key (node_of first)
+    step h tok key ~sn:0 ~sc:1 ~sp:2 (node_of first)
 
-  and step h tok key (curr : N.t) =
-    let next = protect_link h tok ~slot:hp_next (N.next_field curr) in
+  (* [~sn ~sc ~sp]: the slots holding next, curr and prev.  A safe hop is
+     (sn, sc, sp) -> (sp, sn, sc): the new next goes into the old prev's
+     slot.  An eager unlink retires curr, whose slot then takes the new
+     next: sn and sc swap and prev stays put. *)
+  and step h tok key ~sn ~sc ~sp (curr : N.t) =
+    let next = protect_link h tok ~slot:sn (N.next_field curr) in
     if next.N.marked then begin
       (* Eager unlink of the single marked node; restart on failure. *)
       let desired = N.unmarked_copy next in
@@ -102,9 +105,7 @@ module Make (S : Smr.Smr_intf.S) = struct
         raise Restart;
       S.retire h.s curr.N.rc;
       h.expected <- desired;
-      let curr' = node_of next in
-      S.dup h.s ~src:hp_next ~dst:hp_curr;
-      step h tok key curr'
+      step h tok key ~sn:sc ~sc:sn ~sp (node_of next)
     end
     else if N.key curr >= key then begin
       h.pos_curr <- curr;
@@ -113,10 +114,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     else begin
       h.prev <- N.next_field curr;
       h.expected <- next;
-      S.dup h.s ~src:hp_curr ~dst:hp_prev;
-      let curr' = node_of next in
-      S.dup h.s ~src:hp_next ~dst:hp_curr;
-      step h tok key curr'
+      step h tok key ~sn:sp ~sc:sn ~sp:sc (node_of next)
     end
 
   let check_key key =

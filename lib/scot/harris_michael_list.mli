@@ -7,12 +7,9 @@
     HP-compatible without SCOT, at the price of more CAS traffic, mandatory
     restarts under contention (Table 2) and no read-only searches. *)
 
-val hp_next : int
-val hp_curr : int
-val hp_prev : int
-
 val slots_needed : int
-(** Number of hazard slots to pass to {!Smr.Smr_intf.S.create} ([3]). *)
+(** Number of hazard slots to pass to {!Smr.Smr_intf.S.create} ([3]),
+    rotating between the next, current and previous node. *)
 
 module Make (S : Smr.Smr_intf.S) : sig
   type t
