@@ -109,16 +109,40 @@ let preflight_json json =
           exit 1)
 
 (* Write the combined BENCH artifact when [--json] was given. *)
-let finish ~name cfg json results =
-  match json with
-  | None -> ()
-  | Some path ->
-      Harness.Report.write_bench
+let write_json ~name cfg json rows =
+  Option.iter
+    (fun path ->
+      Harness.Report.write_bench_doc
         ~meta:(Harness.Experiments.cfg_meta cfg)
-        ~path ~name results;
-      Printf.printf "wrote %s (%d runs)\n%!" path (List.length results)
+        ~path ~name rows;
+      Printf.printf "wrote %s (%d runs)\n%!" path (List.length rows))
+    json
 
 let cmd_of name doc term = Cmd.v (Cmd.info name ~doc) term
+
+(* The soak commands' shared error path and tail: write the BENCH document
+   when [--json] was given, then report every failure and exit 1. *)
+let die cmd fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "scotbench %s: %s\n" cmd msg;
+      Stdlib.exit 1)
+    fmt
+
+let parse cmd what f x =
+  try f x with Invalid_argument msg -> die cmd "bad --%s: %s" what msg
+
+let lookup cmd ?(hint = "") what find name =
+  match find name with
+  | Some v -> v
+  | None -> die cmd "unknown --%s %s%s" what name hint
+
+let soak_tail cmd cfg json rows failures =
+  write_json ~name:cmd cfg json rows;
+  if failures <> [] then begin
+    List.iter (Printf.eprintf "scotbench %s: %s\n" cmd) failures;
+    Stdlib.exit 1
+  end
 
 (* A command whose body yields [Runner.result list] and supports [--json]. *)
 let bench_cmd cmd_name doc body =
@@ -126,7 +150,8 @@ let bench_cmd cmd_name doc body =
     Term.(
       const (fun cfg json results_of ->
           preflight_json json;
-          finish ~name:cmd_name cfg json (results_of cfg))
+          write_json ~name:cmd_name cfg json
+            (List.map Harness.Report.result_json (results_of cfg)))
       $ cfg_term $ json_arg $ body)
 
 let fig8_cmd =
@@ -201,6 +226,15 @@ let stall_cmd =
                ~duration:cfg.Harness.Experiments.duration ()))
       $ cfg_term)
 
+(* The chaos and recover matrices: 2 domains at smoke size, else 2 and 4
+   unless [-t] narrows them (one domain cannot stall or crash a peer). *)
+let matrix_shape (cfg : Harness.Experiments.cfg) smoke =
+  if smoke then ([ 2 ], 0.3)
+  else
+    ( (if cfg.threads = Harness.Experiments.default_cfg.threads then [ 2; 4 ]
+       else List.filter (fun n -> n >= 2) cfg.threads),
+      cfg.duration )
+
 let chaos_cmd =
   let smoke =
     Arg.(
@@ -259,22 +293,9 @@ let chaos_cmd =
             else
               match Smr.Registry.find scheme_name with
               | Some s -> Some [ s ]
-              | None ->
-                  Printf.eprintf "scotbench chaos: unknown scheme %s\n"
-                    scheme_name;
-                  Stdlib.exit 1
+              | None -> die "chaos" "unknown scheme %s" scheme_name
           in
-          let threads_list =
-            if smoke then [ 2 ]
-            else if
-              cfg.Harness.Experiments.threads
-              = Harness.Experiments.default_cfg.threads
-            then [ 2; 4 ]
-            else List.filter (fun n -> n >= 2) cfg.Harness.Experiments.threads
-          in
-          let duration =
-            if smoke then 0.3 else cfg.Harness.Experiments.duration
-          in
+          let threads_list, duration = matrix_shape cfg smoke in
           let runs =
             Harness.Experiments.chaos_matrix ~structure ~threads_list ~point
               ~range ~duration ?schemes ()
@@ -282,49 +303,36 @@ let chaos_cmd =
           let failed =
             List.filter (fun r -> not r.Harness.Experiments.c_ok) runs
           in
+          let neutralizing, single =
+            match schemes with
+            | Some [ s ] ->
+                ((Smr.Registry.capabilities s).Smr.Smr_intf.neutralizing, [ s ])
+            | _ -> (false, [])
+          in
+          let cmp_threads = List.fold_left max 2 threads_list in
           (* Second acceptance criterion for the schemes that add stall
              machinery (HYB's escalated sweep, DBR's neutralization
              checkpoints): no stall, clean-run throughput within 10% of
              EBR. *)
-          let needs_floor =
-            match schemes with
-            | Some [ s ] ->
-                scheme_name = "HYB"
-                || (Smr.Registry.capabilities s).Smr.Smr_intf.neutralizing
-            | _ -> false
-          in
           let floor =
-            match (needs_floor, schemes) with
-            | true, Some [ s ] ->
-                Some
-                  (Harness.Experiments.clean_floor ~structure
-                     ~threads:(List.fold_left max 2 threads_list)
-                     ~range ~duration ~scheme:s ())
-            | _ -> None
-          in
-          let floor_bad =
-            match floor with
-            | Some f -> not f.Harness.Experiments.fl_ok
-            | None -> false
+            if scheme_name = "HYB" || neutralizing then
+              List.map
+                (fun s ->
+                  Harness.Experiments.clean_floor ~structure
+                    ~threads:cmp_threads ~range ~duration ~scheme:s ())
+                single
+            else []
           in
           (* The DBR headline artifact: the same stall, DBR next to the
              era/interval schemes (bounded-via-neutralization vs growing
              EBR vs bounded-via-tracking IBR/HYB). *)
-          let cmp_threads = List.fold_left max 2 threads_list in
           let stall_cmp =
-            match schemes with
-            | Some [ s ]
-              when (Smr.Registry.capabilities s).Smr.Smr_intf.neutralizing ->
-                Some
-                  (Harness.Experiments.stall_comparison ~structure
-                     ~threads:cmp_threads ~point ~range ~duration ())
-            | _ -> None
-          in
-          let stall_cmp_bad =
-            match stall_cmp with
-            | Some cs ->
-                List.exists (fun c -> not c.Harness.Experiments.c_ok) cs
-            | None -> false
+            if neutralizing then
+              [
+                Harness.Experiments.stall_comparison ~structure
+                  ~threads:cmp_threads ~point ~range ~duration ();
+              ]
+            else []
           in
           let fuzzes =
             if do_fuzz || smoke then (
@@ -359,46 +367,32 @@ let chaos_cmd =
                 f.Harness.Experiments.fz_uaf_seed <> None <> expect_uaf)
               fuzzes
           in
-          (match json with
-          | None -> ()
-          | Some path ->
-              let floor_json =
-                match floor with
-                | Some f -> [ Harness.Experiments.floor_run_json f ]
-                | None -> []
-              in
-              let stall_cmp_json =
-                match stall_cmp with
-                | Some cs ->
-                    [
-                      Harness.Experiments.stall_cmp_json ~structure
-                        ~threads:cmp_threads ~stalled:1 ~point ~range
-                        ~duration cs;
-                    ]
-                | None -> []
-              in
-              Harness.Report.write_bench_doc
-                ~meta:(Harness.Experiments.cfg_meta cfg)
-                ~path ~name:"chaos"
-                (List.map Harness.Experiments.chaos_run_json runs
-                @ floor_json @ stall_cmp_json
-                @ List.map Harness.Experiments.fuzz_result_json fuzzes);
-              Printf.printf "wrote %s (%d runs)\n%!" path
-                (List.length runs + List.length floor_json
-                + List.length stall_cmp_json + List.length fuzzes));
-          if failed <> [] || fuzz_bad || floor_bad || stall_cmp_bad then (
-            if failed <> [] then
-              Printf.eprintf "scotbench chaos: %d verdict(s) failed\n"
-                (List.length failed);
-            if fuzz_bad then
-              Printf.eprintf "scotbench chaos: fuzzer expectation failed\n";
-            if floor_bad then
-              Printf.eprintf
-                "scotbench chaos: clean-run throughput below 0.9x EBR\n";
-            if stall_cmp_bad then
-              Printf.eprintf
-                "scotbench chaos: stall-comparison verdict(s) failed\n";
-            Stdlib.exit 1))
+          let rows =
+            List.map Harness.Experiments.chaos_run_json runs
+            @ List.map Harness.Experiments.floor_run_json floor
+            @ List.map
+                (Harness.Experiments.stall_cmp_json ~structure
+                   ~threads:cmp_threads ~stalled:1 ~point ~range ~duration)
+                stall_cmp
+            @ List.map Harness.Experiments.fuzz_result_json fuzzes
+          in
+          soak_tail "chaos" cfg json rows
+            (List.filter_map
+               (fun (bad, msg) -> if bad then Some msg else None)
+               [
+                 ( failed <> [],
+                   Printf.sprintf "%d verdict(s) failed" (List.length failed)
+                 );
+                 (fuzz_bad, "fuzzer expectation failed");
+                 ( List.exists
+                     (fun f -> not f.Harness.Experiments.fl_ok)
+                     floor,
+                   "clean-run throughput below 0.9x EBR" );
+                 ( List.exists
+                     (List.exists (fun c -> not c.Harness.Experiments.c_ok))
+                     stall_cmp,
+                   "stall-comparison verdict(s) failed" );
+               ]))
       $ cfg_term $ json_arg $ smoke $ fuzz_flag $ structure $ point $ scheme
       $ range_arg ~default:256)
 
@@ -427,17 +421,7 @@ let recover_cmd =
     Term.(
       const (fun cfg json smoke structure crashed range ->
           preflight_json json;
-          let threads_list =
-            if smoke then [ 2 ]
-            else if
-              cfg.Harness.Experiments.threads
-              = Harness.Experiments.default_cfg.threads
-            then [ 2; 4 ]
-            else List.filter (fun n -> n >= 2) cfg.Harness.Experiments.threads
-          in
-          let duration =
-            if smoke then 0.3 else cfg.Harness.Experiments.duration
-          in
+          let threads_list, duration = matrix_shape cfg smoke in
           let runs =
             Harness.Experiments.recover_matrix ~structure ~threads_list
               ~crashed ~range ~duration ()
@@ -445,18 +429,11 @@ let recover_cmd =
           let failed =
             List.filter (fun r -> not r.Harness.Experiments.rc_ok) runs
           in
-          (match json with
-          | None -> ()
-          | Some path ->
-              Harness.Report.write_bench_doc
-                ~meta:(Harness.Experiments.cfg_meta cfg)
-                ~path ~name:"recover"
-                (List.map Harness.Experiments.recover_run_json runs);
-              Printf.printf "wrote %s (%d runs)\n%!" path (List.length runs));
-          if failed <> [] then (
-            Printf.eprintf "scotbench recover: %d verdict(s) failed\n"
-              (List.length failed);
-            Stdlib.exit 1))
+          soak_tail "recover" cfg json
+            (List.map Harness.Experiments.recover_run_json runs)
+            (if failed = [] then []
+             else
+               [ Printf.sprintf "%d verdict(s) failed" (List.length failed) ]))
       $ cfg_term $ json_arg $ smoke $ structure $ crashed
       $ range_arg ~default:256)
 
@@ -573,26 +550,13 @@ let serve_cmd =
                 batch buckets skew mix phases crash ttl_pct ttl_s mode
                 min_speedup ->
           preflight_json json;
-          let fail fmt =
-            Printf.ksprintf
-              (fun msg ->
-                Printf.eprintf "scotbench serve: %s\n" msg;
-                Stdlib.exit 1)
-              fmt
-          in
-          let parse what f x =
-            try f x with Invalid_argument msg -> fail "bad --%s: %s" what msg
-          in
+          let fail fmt = die "serve" fmt in
+          let parse what = parse "serve" what in
           let backend =
-            match Scotstore.Shard.backend_of_string backend with
-            | Some b -> b
-            | None -> fail "unknown --backend %s (hashmap or skiplist)" backend
+            lookup "serve" "backend" ~hint:" (hashmap or skiplist)"
+              Scotstore.Shard.backend_of_string backend
           in
-          let scheme =
-            match Smr.Registry.find scheme with
-            | Some s -> s
-            | None -> fail "unknown --scheme %s" scheme
-          in
+          let scheme = lookup "serve" "scheme" Smr.Registry.find scheme in
           let skew = parse "skew" Harness.Workload.skew_of_string skew in
           let r, i, d = mix in
           let mix = parse "mix" (fun () -> Harness.Workload.mix ~read:r ~insert:i ~delete:d) () in
@@ -603,10 +567,11 @@ let serve_cmd =
           let modes =
             match String.lowercase_ascii mode with
             | "both" -> [ Scotstore.Serve.Per_op; Scotstore.Serve.Batched ]
-            | m -> (
-                match Scotstore.Serve.mode_of_string m with
-                | Some m -> [ m ]
-                | None -> fail "unknown --mode %s (per-op, batched, both)" m)
+            | m ->
+                [
+                  lookup "serve" "mode" ~hint:" (per-op, batched, both)"
+                    Scotstore.Serve.mode_of_string m;
+                ]
           in
           let shards = if smoke then 2 else shards in
           let workers = if smoke then 2 else workers in
@@ -639,6 +604,7 @@ let serve_cmd =
               sv_domains = (if domains > 0 then Some domains else None);
             }
           in
+          let module Sv = Scotstore.Serve in
           let repeats = max 1 cfg.Harness.Experiments.repeats in
           (* The host is a noisy single core, so the modes are
              interleaved within each [-r] round — all of one mode's
@@ -650,78 +616,61 @@ let serve_cmd =
              repeat regardless of which round is reported. *)
           let rounds =
             List.init repeats (fun _ ->
-                List.map (fun m -> (m, Scotstore.Serve.run sc m)) modes)
+                List.map (fun m -> (m, Sv.run sc m)) modes)
           in
-          let per_mode m = List.map (fun round -> List.assoc m round) rounds in
+          let per_mode m = List.map (List.assoc m) rounds in
           let median_by f rs =
             let sorted = List.sort (fun a b -> compare (f a) (f b)) rs in
             List.nth sorted (List.length sorted / 2)
           in
-          let both =
-            List.mem Scotstore.Serve.Per_op modes
-            && List.mem Scotstore.Serve.Batched modes
-          in
           let speedup, results =
-            if both then begin
+            if List.length modes = 2 then
               let ratio round =
-                let p = List.assoc Scotstore.Serve.Per_op round in
-                let b = List.assoc Scotstore.Serve.Batched round in
-                b.Scotstore.Serve.r_throughput
-                /. p.Scotstore.Serve.r_throughput
+                (List.assoc Sv.Batched round).Sv.r_throughput
+                /. (List.assoc Sv.Per_op round).Sv.r_throughput
               in
               let round = median_by ratio rounds in
               (Some (ratio round), round)
-            end
             else
               ( None,
                 List.map
                   (fun m ->
-                    ( m,
-                      median_by
-                        (fun (r : Scotstore.Serve.result) -> r.r_throughput)
-                        (per_mode m) ))
+                    (m, median_by (fun r -> r.Sv.r_throughput) (per_mode m)))
                   modes )
           in
           let results =
             List.map
-              (fun (m, (r : Scotstore.Serve.result)) ->
-                match
-                  List.find_opt
-                    (fun (x : Scotstore.Serve.result) -> not x.r_ok)
-                    (per_mode m)
-                with
+              (fun (m, (r : Sv.result)) ->
+                match List.find_opt (fun x -> not x.Sv.r_ok) (per_mode m) with
                 | Some bad when r.r_ok ->
                     (m, { r with r_ok = false; r_verdict = bad.r_verdict })
                 | _ -> (m, r))
               results
           in
           List.iter
-            (fun (m, (r : Scotstore.Serve.result)) ->
+            (fun (m, (r : Sv.result)) ->
               Printf.printf
                 "serve %-7s: ops=%d  thr=%s ops/s  max_unreclaimed=%d  \
                  post_quiesced=%d%s  expired=%d  recoveries=%d  verdict=%s\n%!"
-                (Scotstore.Serve.mode_name m)
-                r.Scotstore.Serve.r_ops
-                (Harness.Report.human r.Scotstore.Serve.r_throughput)
-                r.Scotstore.Serve.r_max_unreclaimed
-                r.Scotstore.Serve.r_post_quiesced
-                (match r.Scotstore.Serve.r_bound with
+                (Sv.mode_name m) r.r_ops
+                (Harness.Report.human r.r_throughput)
+                r.r_max_unreclaimed r.r_post_quiesced
+                (match r.r_bound with
                 | Some b -> Printf.sprintf " (bound %d)" b
                 | None -> "")
-                r.Scotstore.Serve.r_expired
-                (List.length r.Scotstore.Serve.r_recoveries)
-                r.Scotstore.Serve.r_verdict)
+                r.r_expired
+                (List.length r.r_recoveries)
+                r.r_verdict)
             results;
-          let find m = List.assoc_opt m results in
           (match speedup with
           | Some s -> Printf.printf "speedup (batched / per-op): %.2fx\n%!" s
           | None -> ());
-          (match find Scotstore.Serve.Batched with
-          | Some b ->
+          Option.iter
+            (fun (b : Sv.result) ->
               Harness.Report.table
                 ~header:[ "shard"; "ops"; "hits"; "misses"; "thr (ops/s)" ]
                 (List.map
-                   (fun (s : Scotstore.Serve.shard_row) ->
+                   (fun (s : Sv.shard_row) ->
                      [
                        string_of_int s.sr_shard;
                        string_of_int s.sr_ops;
@@ -729,46 +678,30 @@ let serve_cmd =
                        string_of_int (s.sr_ops - s.sr_hits);
                        Harness.Report.human s.sr_throughput;
                      ])
-                   b.Scotstore.Serve.r_per_shard)
-          | None -> ());
-          (match json with
-          | None -> ()
-          | Some path ->
-              let rows =
-                List.map
-                  (fun (m, r) ->
-                    let speedup =
-                      if m = Scotstore.Serve.Batched then speedup else None
-                    in
-                    Scotstore.Serve.result_json ?speedup sc r)
-                  results
-              in
-              Harness.Report.write_bench_doc
-                ~meta:(Harness.Experiments.cfg_meta cfg)
-                ~path ~name:"serve" rows;
-              Printf.printf "wrote %s (%d runs)\n%!" path (List.length rows));
-          let bad_verdicts =
-            List.filter (fun (_, r) -> not r.Scotstore.Serve.r_ok) results
-          in
-          let slow =
+                   b.r_per_shard))
+            (List.assoc_opt Sv.Batched results);
+          soak_tail "serve" cfg json
+            (List.map
+               (fun (m, r) ->
+                 let speedup = if m = Sv.Batched then speedup else None in
+                 Sv.result_json ?speedup sc r)
+               results)
+            (List.filter_map
+               (fun (m, (r : Sv.result)) ->
+                 if r.r_ok then None
+                 else
+                   Some
+                     (Printf.sprintf "%s verdict failed: %s" (Sv.mode_name m)
+                        r.r_verdict))
+               results
+            @
             match speedup with
-            | Some s when s < min_speedup -> true
-            | _ -> false
-          in
-          if bad_verdicts <> [] || slow then begin
-            List.iter
-              (fun (m, r) ->
-                Printf.eprintf "scotbench serve: %s verdict failed: %s\n"
-                  (Scotstore.Serve.mode_name m)
-                  r.Scotstore.Serve.r_verdict)
-              bad_verdicts;
-            if slow then
-              Printf.eprintf
-                "scotbench serve: speedup %.2fx below required %.2fx\n"
-                (Option.value speedup ~default:0.0)
-                min_speedup;
-            Stdlib.exit 1
-          end)
+            | Some s when s < min_speedup ->
+                [
+                  Printf.sprintf "speedup %.2fx below required %.2fx" s
+                    min_speedup;
+                ]
+            | _ -> []))
       $ cfg_term $ json_arg $ smoke $ backend $ scheme $ shards $ workers
       $ domains
       $ range_arg ~default:16384
@@ -877,17 +810,9 @@ let pressure_cmd =
                 range budget budget_div deadline clean ramp drain ttl_pct
                 ttl_s ->
           preflight_json json;
-          let fail fmt =
-            Printf.ksprintf
-              (fun msg ->
-                Printf.eprintf "scotbench pressure: %s\n" msg;
-                Stdlib.exit 1)
-              fmt
-          in
           let backend =
-            match Scotstore.Shard.backend_of_string backend with
-            | Some b -> b
-            | None -> fail "unknown --backend %s (hashmap or skiplist)" backend
+            lookup "pressure" "backend" ~hint:" (hashmap or skiplist)"
+              Scotstore.Shard.backend_of_string backend
           in
           (* The verdict panel: robust schemes must degrade gracefully
              and recover; EBR runs monitor-only because enforcement
@@ -897,10 +822,10 @@ let pressure_cmd =
             if scheme = "" then
               [ ("DBR", true); ("HYB", true); ("IBR", true); ("EBR", false) ]
             else
-              match Smr.Registry.find scheme with
-              | None -> fail "unknown --scheme %s" scheme
-              | Some (module S : Smr.Smr_intf.S) ->
-                  [ (S.name, S.capabilities.robust) ]
+              let (module S : Smr.Smr_intf.S) =
+                lookup "pressure" "scheme" Smr.Registry.find scheme
+              in
+              [ (S.name, S.capabilities.robust) ]
           in
           let shards = if smoke then 2 else shards in
           let workers = if smoke then 4 else workers in
@@ -956,17 +881,17 @@ let pressure_cmd =
                 pv_ttl_s = ttl_s;
               }
             in
-            (pc, Scotstore.Overload.run pc)
+            let (module S : Smr.Smr_intf.S) = sm in
+            (S.name, pc, Scotstore.Overload.run pc)
           in
           let results = List.map run_one panel in
           List.iter
-            (fun ((pc : Scotstore.Overload.cfg), (r : Scotstore.Overload.result)) ->
-              let (module S : Smr.Smr_intf.S) = pc.pv_scheme in
+            (fun (name, _, (r : Scotstore.Overload.result)) ->
               Printf.printf
                 "pressure %-4s %-9s: parked=%d  max_unr=%d  stall_bound=%d  \
                  budget=%d  shed=%d  retries=%d  read_live=%.2f  \
                  max_level=%s  recovered=%b  verdict=%s\n%!"
-                S.name
+                name
                 (if r.r_enforce then "enforcing" else "monitor")
                 r.r_parked r.r_max_unreclaimed r.r_stall_bound r.r_budget
                 (r.r_shed_ttl + r.r_shed_all)
@@ -974,33 +899,15 @@ let pressure_cmd =
                 (Scotstore.Pressure.level_name r.r_max_level)
                 r.r_recovered r.r_verdict)
             results;
-          (match json with
-          | None -> ()
-          | Some path ->
-              let rows =
-                List.map
-                  (fun (pc, r) -> Scotstore.Overload.result_json pc r)
-                  results
-              in
-              Harness.Report.write_bench_doc
-                ~meta:(Harness.Experiments.cfg_meta cfg)
-                ~path ~name:"pressure" rows;
-              Printf.printf "wrote %s (%d runs)\n%!" path (List.length rows));
-          let bad =
-            List.filter
-              (fun (_, (r : Scotstore.Overload.result)) -> not r.r_ok)
-              results
-          in
-          if bad <> [] then begin
-            List.iter
-              (fun ((pc : Scotstore.Overload.cfg),
-                    (r : Scotstore.Overload.result)) ->
-                let (module S : Smr.Smr_intf.S) = pc.pv_scheme in
-                Printf.eprintf "scotbench pressure: %s verdict failed: %s\n"
-                  S.name r.r_verdict)
-              bad;
-            Stdlib.exit 1
-          end)
+          soak_tail "pressure" cfg json
+            (List.map (fun (_, pc, r) -> Scotstore.Overload.result_json pc r)
+               results)
+            (List.filter_map
+               (fun (name, _, (r : Scotstore.Overload.result)) ->
+                 if r.r_ok then None
+                 else
+                   Some (Printf.sprintf "%s verdict failed: %s" name r.r_verdict))
+               results))
       $ cfg_term $ json_arg $ smoke $ backend $ scheme $ shards $ workers
       $ domains $ readers
       $ range_arg ~default:2048
@@ -1071,12 +978,7 @@ let run_cmd =
   bench_cmd "run" "One custom benchmark run per requested thread count"
     Term.(
       const (fun structure scheme range (r, i, d) skew phases domains cfg ->
-          let parse what f x =
-            try f x
-            with Invalid_argument msg ->
-              Printf.eprintf "scotbench run: bad --%s: %s\n" what msg;
-              Stdlib.exit 1
-          in
+          let parse what = parse "run" what in
           let skew = parse "skew" Harness.Workload.skew_of_string skew in
           let phases =
             if phases = "" then []

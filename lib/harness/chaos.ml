@@ -135,8 +135,8 @@ let stall_here t c ~tid ~point ~for_s =
   (match for_s with
   | None -> while not c.release do Condition.wait c.cond c.mutex done
   | Some s ->
-      let deadline = Unix.gettimeofday () +. s in
-      while (not c.release) && Unix.gettimeofday () < deadline do
+      let deadline = Clock.ns () + int_of_float (s *. 1e9) in
+      while (not c.release) && Clock.ns () < deadline do
         Mutex.unlock c.mutex;
         Unix.sleepf 0.0002;
         Mutex.lock c.mutex
@@ -253,11 +253,11 @@ let crashed t ~tid =
   p
 
 let wait_parked ?(timeout_s = 5.0) t ~tid =
-  let deadline = Unix.gettimeofday () +. timeout_s in
+  let deadline = Clock.ns () + int_of_float (timeout_s *. 1e9) in
   let rec go () =
     if parked t ~tid then true
     else if crashed t ~tid then false
-    else if Unix.gettimeofday () > deadline then false
+    else if Clock.ns () > deadline then false
     else begin
       Unix.sleepf 0.0005;
       go ()

@@ -12,12 +12,12 @@
 exception Crashed
 (** Raised from inside an operation by a crashing or killed tid; the
     operation unwinds without [end_op], leaking its published protection.
-    {!Runner.run} treats it as a terminal worker event, not an error. *)
+    {!Soak.run} treats it as a terminal worker event, not an error. *)
 
 type action =
   | Stall of { for_s : float option }
       (** Park at the point until [resume] (or, with [Some s], for at most
-          [s] seconds of wall clock). *)
+          [s] seconds on {!Clock}). *)
   | Crash  (** Raise {!Crashed}; the tid is poisoned thereafter. *)
 
 type rule = { tid : int; point : Smr.Probe.point; after : int; action : action }

@@ -322,25 +322,27 @@ let stall ?(threads = 4) ?(duration = 2.0) ?(range = 512) ?(point = "read") ()
         (* Thread [threads-1] parks at the injection point inside a real
            operation (protection published); the rest churn. *)
         inst.Instance.fault.stall ~tid:(threads - 1) ~point;
-        let stop = Atomic.make false in
-        let worker tid () =
-          let rng = Workload.Rng.create ~seed:(tid + 1) in
-          while not (Atomic.get stop) do
-            let k = Workload.Rng.int rng range in
-            if Workload.Rng.int rng 2 = 0 then
-              ignore (inst.Instance.insert ~tid k)
-            else ignore (inst.Instance.delete ~tid k)
-          done
+        (* The soak covers the churning tids only: the parked one stays
+           parked (no shutdown) and unquiesced until the gauge is read. *)
+        let o =
+          Soak.run ~sample_every:duration
+            { (Soak.instance_target inst) with threads = threads - 1;
+              shutdown = ignore }
+            ~workers:(threads - 1) ~duration
+            (fun w ->
+              let rng = Workload.Rng.create ~seed:(w.tid + 1) in
+              fun () ->
+                while not (Atomic.get w.stop) do
+                  let k = Workload.Rng.int rng range in
+                  if Workload.Rng.int rng 2 = 0 then
+                    ignore (inst.Instance.insert ~tid:w.tid k)
+                  else ignore (inst.Instance.delete ~tid:w.tid k)
+                done)
         in
-        let doms =
-          List.init (threads - 1) (fun tid -> Domain.spawn (worker tid))
-        in
-        ignore (Unix.select [] [] [] duration);
-        Atomic.set stop true;
-        List.iter Domain.join doms;
-        for tid = 0 to threads - 2 do
-          inst.Instance.quiesce ~tid
-        done;
+        if o.faults > 0 then
+          failwith
+            (Printf.sprintf "Experiments.stall: %s: %d use-after-free fault(s)"
+               S.name o.faults);
         (* Read the gauge while the thread is still parked, then release
            it — the resumed operation completes and the robust schemes'
            backlog drains, demonstrating recovery as well as boundedness. *)
@@ -384,6 +386,7 @@ type chaos_run = {
   c_first_third : float; (* mean unreclaimed over the first third of *)
   c_last_third : float; (* samples / the last third: the growth signal *)
   c_ok : bool;
+  c_verdict : string; (* "ok", or the failed check with its numbers *)
   c_mem_series : Metrics.mem_sample list;
   c_trace : string list;
 }
@@ -411,6 +414,32 @@ let third_means (series : Metrics.mem_sample list) =
     (mean 0 third, mean (n - third) n)
   end
 
+(* The chaos/recover run shape: a small limbo threshold so reclamation
+   keeps pace with the 2 ms gauge sampling in a short run, and the
+   injection trace captured before the engine shuts down.  [prepare]
+   arms the faults and reads the bounds off the built instance. *)
+let fault_run ?config ?workers ?supervise ~structure ~scheme ~threads ~range
+    ~duration prepare =
+  let config =
+    match config with
+    | Some c -> c
+    | None ->
+        Smr.Smr_intf.make_config ~limbo_threshold:32 ~epoch_freq:16
+          ~batch_size:8 ~threads ()
+  in
+  let inst = ref None and trace = ref [] in
+  let r =
+    Runner.run ~config ?workers ?supervise ~check:false ~measure_latency:false
+      ~sample_every:0.002
+      ~prepare:(fun i ->
+        inst := Some i;
+        prepare config i)
+      ~finish:(fun i -> trace := Chaos.trace (i.Instance.fault.engine ()))
+      ~builder:(Instance.find_builder_exn structure)
+      ~scheme ~threads ~range ~duration ()
+  in
+  (r, Option.get !inst, !trace)
+
 (* One validated run: [stalled] extra participants park at [point] while
    [threads - stalled] workers churn.  Robust schemes must keep the
    unreclaimed gauge under the {!Chaos.mem_bound} ceiling; EBR/NR must show
@@ -420,22 +449,10 @@ let chaos ?(structure = "HList") ?(threads = 4) ?(stalled = 1)
     ~scheme:(module S : Smr.Smr_intf.S) () =
   let workers = threads - stalled in
   if workers < 1 then invalid_arg "Experiments.chaos: no worker threads left";
-  let config =
-    match config with
-    | Some c -> c
-    | None ->
-        (* Small limbo threshold so reclamation keeps pace with the gauge
-           sampling during a one-second run. *)
-        Smr.Smr_intf.make_config ~limbo_threshold:32 ~epoch_freq:16
-          ~batch_size:8 ~threads ()
-  in
-  let builder = Instance.find_builder_exn structure in
   let bound = ref None in
-  let trace = ref [] in
-  let r =
-    Runner.run ~config ~workers ~check:false ~measure_latency:false
-      ~sample_every:0.002
-      ~prepare:(fun inst ->
+  let r, _, trace =
+    fault_run ?config ~workers ~structure ~scheme:(module S) ~threads ~range
+      ~duration (fun config inst ->
         bound :=
           Chaos.mem_bound
             (module S)
@@ -443,21 +460,19 @@ let chaos ?(structure = "HList") ?(threads = 4) ?(stalled = 1)
         for tid = workers to threads - 1 do
           inst.Instance.fault.stall ~tid ~point
         done)
-      ~finish:(fun inst ->
-        trace := Chaos.trace (inst.Instance.fault.engine ());
-        inst.Instance.fault.shutdown ())
-      ~builder
-      ~scheme:(module S)
-      ~threads ~range ~duration ()
   in
   let first_third, last_third = third_means r.mem_series in
-  let ok =
+  let check =
     match !bound with
-    | Some b -> r.max_unreclaimed <= b
+    | Some b ->
+        Soak.check "BOUND EXCEEDED" (r.max_unreclaimed <= b)
+          ~detail:(Printf.sprintf "max=%d>bound=%d" r.max_unreclaimed b)
     | None ->
         (* Non-robust: the stalled reservation must visibly pin memory —
            the tail of the series sits clearly above its head. *)
-        last_third > (1.5 *. first_third) +. 32.0
+        let limit = (1.5 *. first_third) +. 32.0 in
+        Soak.check "NO GROWTH" (last_third > limit)
+          ~detail:(Printf.sprintf "last=%.0f<=limit=%.0f" last_third limit)
   in
   {
     c_structure = r.structure;
@@ -475,9 +490,10 @@ let chaos ?(structure = "HList") ?(threads = 4) ?(stalled = 1)
     c_max_unreclaimed = r.max_unreclaimed;
     c_first_third = first_third;
     c_last_third = last_third;
-    c_ok = ok;
+    c_ok = check.ok;
+    c_verdict = Soak.verdict [ check ];
     c_mem_series = r.mem_series;
-    c_trace = !trace;
+    c_trace = trace;
   }
 
 let chaos_header =
@@ -495,10 +511,19 @@ let chaos_row (c : chaos_run) =
     string_of_int c.c_max_unreclaimed;
     Printf.sprintf "%.0f" c.c_first_third;
     Printf.sprintf "%.0f" c.c_last_third;
-    (if c.c_ok then "ok"
-     else if c.c_robust then "BOUND EXCEEDED"
-     else "NO GROWTH");
+    c.c_verdict;
   ]
+
+(* Every scheme at each thread count, printed as one verdict table. *)
+let matrix ~title ~header ~row ~threads_list schemes run =
+  Report.section title;
+  let runs =
+    List.concat_map
+      (fun scheme -> List.map (run scheme) threads_list)
+      schemes
+  in
+  Report.table ~header (List.map row runs);
+  runs
 
 (* The chaos validation matrix: every scheme at each thread count, one
    stalled participant, mid-traversal stall.  Robust schemes bounded,
@@ -506,23 +531,14 @@ let chaos_row (c : chaos_run) =
 let chaos_matrix ?(structure = "HList") ?(threads_list = [ 2; 4 ])
     ?(stalled = 1) ?(point = "read") ?(range = 256) ?(duration = 1.0)
     ?(schemes = all_schemes) () =
-  Report.section
-    (Printf.sprintf
-       "Chaos: unreclaimed-memory validation with %d thread(s) stalled at \
-        '%s' (robust schemes bounded, EBR/NR growing)"
-       stalled point);
-  let runs =
-    List.concat_map
-      (fun (module S : Smr.Smr_intf.S) ->
-        List.map
-          (fun threads ->
-            chaos ~structure ~threads ~stalled ~point ~range ~duration
-              ~scheme:(module S : Smr.Smr_intf.S) ())
-          threads_list)
-      schemes
-  in
-  Report.table ~header:chaos_header (List.map chaos_row runs);
-  runs
+  matrix ~header:chaos_header ~row:chaos_row ~threads_list schemes
+    ~title:
+      (Printf.sprintf
+         "Chaos: unreclaimed-memory validation with %d thread(s) stalled at \
+          '%s' (robust schemes bounded, EBR/NR growing)"
+         stalled point)
+    (fun scheme threads ->
+      chaos ~structure ~threads ~stalled ~point ~range ~duration ~scheme ())
 
 let chaos_run_json (c : chaos_run) =
   Json.Obj
@@ -546,12 +562,7 @@ let chaos_run_json (c : chaos_run) =
       ("last_third", Json.Float c.c_last_third);
       ("ok", Json.Bool c.c_ok);
       ( "mem_series",
-        Json.List
-          (List.map
-             (fun (s : Metrics.mem_sample) ->
-               Json.Obj
-                 [ ("t", Json.Float s.t); ("unreclaimed", Json.Int s.unreclaimed) ])
-             c.c_mem_series) );
+        Json.List (List.map Metrics.mem_sample_json c.c_mem_series) );
       ("trace", Json.List (List.map (fun e -> Json.String e) c.c_trace));
     ]
 
@@ -613,10 +624,6 @@ let clean_floor ?(structure = "HList") ?(threads = 4) ?(range = 256)
         (if run.fl_ok then "ok" else "BELOW FLOOR") ];
     ];
   run
-
-let hybrid_floor ?structure ?threads ?range ?duration () =
-  clean_floor ?structure ?threads ?range ?duration
-    ~scheme:(Smr.Registry.find_exn "HYB") ()
 
 let floor_run_json (f : floor_run) =
   Json.Obj
@@ -717,6 +724,7 @@ type recover_run = {
   rc_warning_msgs : string list; (* the captured messages, in firing order *)
   rc_ok : bool;
   rc_verdict : string;
+  rc_checks : Soak.check list; (* every check, in verdict order *)
   rc_mem_series : Metrics.mem_sample list;
   rc_trace : string list;
 }
@@ -743,51 +751,27 @@ let recover ?(structure = "HList") ?(threads = 4) ?(crashed = 1)
     ~scheme:(module S : Smr.Smr_intf.S) () =
   if crashed < 1 || crashed >= threads then
     invalid_arg "Experiments.recover: crashed must be in [1, threads)";
-  let config =
-    match config with
-    | Some c -> c
-    | None ->
-        Smr.Smr_intf.make_config ~limbo_threshold:32 ~epoch_freq:16
-          ~batch_size:8 ~threads ()
-  in
-  let builder = Instance.find_builder_exn structure in
   let peak_bound = ref None and post_bound = ref None in
-  let trace = ref [] in
-  let captured = ref None in
-  let r =
-    Runner.run ~config ~check:false ~measure_latency:false
-      ~sample_every:0.002 ~supervise:Supervisor.default
-      ~prepare:(fun inst ->
-        captured := Some inst;
-        let slots = inst.Instance.slots in
-        peak_bound :=
+  let r, inst, trace =
+    fault_run ?config ~supervise:Supervisor.default ~structure
+      ~scheme:(module S) ~threads ~range ~duration (fun config inst ->
+        let bound stalled =
           Chaos.mem_bound
             (module S)
-            ~config ~threads ~slots ~range ~adopted:crashed ~stalled:crashed
-            ();
-        post_bound :=
-          Chaos.mem_bound
-            (module S)
-            ~config ~threads ~slots ~range ~adopted:crashed ~stalled:0 ();
+            ~config ~threads ~slots:inst.Instance.slots ~range
+            ~adopted:crashed ~stalled ()
+        in
+        peak_bound := bound crashed;
+        post_bound := bound 0;
         let e = inst.Instance.fault.engine () in
         for tid = threads - crashed to threads - 1 do
           Chaos.arm e ~tid ~point:Smr.Probe.Read ~after:200 Chaos.Crash
         done)
-      ~finish:(fun inst ->
-        trace := Chaos.trace (inst.Instance.fault.engine ());
-        inst.Instance.fault.shutdown ())
-      ~builder
-      ~scheme:(module S)
-      ~threads ~range ~duration ()
   in
-  (* The runner has quiesced every tid by now (recovered handles are
-     fresh, so no tid refuses the pass); the instance outlives the run,
-     so this reads the fully drained gauge. *)
-  let post_quiesced =
-    match !captured with
-    | Some inst -> inst.Instance.unreclaimed ()
-    | None -> -1
-  in
+  (* Every tid is quiesced by now (recovered handles are fresh, so none
+     refuses the pass); the instance outlives the run, so this reads the
+     fully drained gauge. *)
+  let post_quiesced = inst.Instance.unreclaimed () in
   let n_rec = List.length r.recoveries in
   let recovery_s =
     List.fold_left
@@ -834,29 +818,50 @@ let recover ?(structure = "HList") ?(threads = 4) ?(crashed = 1)
         r.recoveries
   in
   let warnings = List.length warning_msgs in
-  let ok, verdict =
-    if n_rec < crashed then (false, "MISSING RECOVERIES")
-    else if caps.Smr.Smr_intf.recoverable && caps.Smr.Smr_intf.robust then
-      match (!peak_bound, !post_bound) with
-      | Some pk, Some pb ->
-          if r.max_unreclaimed > pk then (false, "PEAK BOUND EXCEEDED")
-          else if post_max > pb then (false, "POST-ADOPTION BOUND EXCEEDED")
-          else if post_quiesced > pb then (false, "DID NOT DRAIN")
-          else (true, "recovered, bounded")
-      | _ -> (false, "NO BOUND") (* unreachable: robust implies a bound *)
-    else if caps.Smr.Smr_intf.recoverable then
-      (* EBR: no a-priori bound, but deactivation must stop the growth. *)
-      if last_third > (1.5 *. first_third) +. 64.0 then
-        (false, "STILL GROWING")
-      else (true, "recovered, growth stopped")
-    else if warnings < crashed then (false, "NO ADOPT WARNING")
-    else (true, "supervised (leaks by design)")
+  let robust = caps.Smr.Smr_intf.robust in
+  let recoverable = caps.Smr.Smr_intf.recoverable in
+  let over name v b = Printf.sprintf "%s=%d>bound=%d" name v b in
+  let checks =
+    Soak.check "MISSING RECOVERIES" (n_rec >= crashed)
+      ~detail:(Printf.sprintf "recoveries=%d<crashed=%d" n_rec crashed)
+    ::
+    (if recoverable && robust then
+       match (!peak_bound, !post_bound) with
+       | Some pk, Some pb ->
+           [
+             Soak.check "PEAK BOUND EXCEEDED" (r.max_unreclaimed <= pk)
+               ~detail:(over "max" r.max_unreclaimed pk);
+             Soak.check "POST-ADOPTION BOUND EXCEEDED" (post_max <= pb)
+               ~detail:(over "post_max" post_max pb);
+             Soak.check "DID NOT DRAIN" (post_quiesced <= pb)
+               ~detail:(over "quiesced" post_quiesced pb);
+           ]
+       | _ -> [ Soak.check "NO BOUND" false ] (* robust implies a bound *)
+     else if recoverable then
+       (* EBR: no a-priori bound, but deactivation must stop the growth. *)
+       let limit = (1.5 *. first_third) +. 64.0 in
+       [
+         Soak.check "STILL GROWING" (last_third <= limit)
+           ~detail:(Printf.sprintf "last=%.0f>limit=%.0f" last_third limit);
+       ]
+     else
+       [
+         Soak.check "NO ADOPT WARNING" (warnings >= crashed)
+           ~detail:(Printf.sprintf "warnings=%d<crashed=%d" warnings crashed);
+       ])
+  in
+  let ok = Soak.failures checks = [] in
+  let verdict =
+    if not ok then Soak.verdict checks
+    else if robust then "recovered, bounded"
+    else if recoverable then "recovered, growth stopped"
+    else "supervised (leaks by design)"
   in
   {
     rc_structure = r.structure;
     rc_scheme = r.scheme;
-    rc_robust = caps.Smr.Smr_intf.robust;
-    rc_recoverable = caps.Smr.Smr_intf.recoverable;
+    rc_robust = robust;
+    rc_recoverable = recoverable;
     rc_threads = threads;
     rc_crashed = crashed;
     rc_range = range;
@@ -876,8 +881,9 @@ let recover ?(structure = "HList") ?(threads = 4) ?(crashed = 1)
     rc_warning_msgs = warning_msgs;
     rc_ok = ok;
     rc_verdict = verdict;
+    rc_checks = checks;
     rc_mem_series = r.mem_series;
-    rc_trace = !trace;
+    rc_trace = trace;
   }
 
 let recover_header =
@@ -907,23 +913,17 @@ let recover_row (c : recover_run) =
    worker mid-traversal under supervision. *)
 let recover_matrix ?(structure = "HList") ?(threads_list = [ 2; 4 ])
     ?(crashed = 1) ?(range = 256) ?(duration = 1.0) () =
-  Report.section
-    (Printf.sprintf
-       "Recovery: crash %d domain(s) mid-traversal, supervise \
-        (deactivate + adopt + respawn); robust schemes return under the \
-        adoption bound, EBR stops growing, NR warns"
-       crashed);
   let runs =
-    List.concat_map
-      (fun (module S : Smr.Smr_intf.S) ->
-        List.map
-          (fun threads ->
-            recover ~structure ~threads ~crashed ~range ~duration
-              ~scheme:(module S : Smr.Smr_intf.S) ())
-          threads_list)
-      all_schemes
+    matrix ~header:recover_header ~row:recover_row ~threads_list all_schemes
+      ~title:
+        (Printf.sprintf
+           "Recovery: crash %d domain(s) mid-traversal, supervise \
+            (deactivate + adopt + respawn); robust schemes return under the \
+            adoption bound, EBR stops growing, NR warns"
+           crashed)
+      (fun scheme threads ->
+        recover ~structure ~threads ~crashed ~range ~duration ~scheme ())
   in
-  Report.table ~header:recover_header (List.map recover_row runs);
   (* Adoption warnings were captured during the runs (the hook is swapped
      for the duration); surface them as report notes under the table. *)
   List.iter
@@ -994,9 +994,7 @@ let fuzz_once ~builder ~scheme ~threads ~duration ~seed () =
       ~sample_every:0.05
       ~prepare:(fun inst ->
         Chaos.apply (inst.Instance.fault.engine ()) schedule)
-      ~finish:(fun inst ->
-        trace := Chaos.trace (inst.Instance.fault.engine ());
-        inst.Instance.fault.shutdown ())
+      ~finish:(fun inst -> trace := Chaos.trace (inst.Instance.fault.engine ()))
       ~builder ~scheme ~threads ~range:16
       ~mix:(Workload.mix ~read:20 ~insert:40 ~delete:40)
       ~duration ()
@@ -1009,30 +1007,24 @@ let fuzz_once ~builder ~scheme ~threads ~duration ~seed () =
 let fuzz ?(structure = "HListUnsafe") ?(threads = 4) ?(budget_s = 30.0)
     ?(duration = 0.25) ~scheme:(module S : Smr.Smr_intf.S) () =
   let builder = Instance.find_builder_exn structure in
-  let t0 = Unix.gettimeofday () in
+  let result seeds uaf_seed trace =
+    {
+      fz_structure = structure;
+      fz_scheme = S.name;
+      fz_seeds = seeds;
+      fz_uaf_seed = uaf_seed;
+      fz_trace = trace;
+    }
+  in
+  let t0 = Clock.now () in
   let rec go seed =
-    if Unix.gettimeofday () -. t0 > budget_s then
-      {
-        fz_structure = structure;
-        fz_scheme = S.name;
-        fz_seeds = seed - 1;
-        fz_uaf_seed = None;
-        fz_trace = [];
-      }
+    if Clock.now () -. t0 > budget_s then result (seed - 1) None []
     else
       let uaf, trace =
         fuzz_once ~builder ~scheme:(module S : Smr.Smr_intf.S) ~threads
           ~duration ~seed ()
       in
-      if uaf then
-        {
-          fz_structure = structure;
-          fz_scheme = S.name;
-          fz_seeds = seed;
-          fz_uaf_seed = Some seed;
-          fz_trace = trace;
-        }
-      else go (seed + 1)
+      if uaf then result seed (Some seed) trace else go (seed + 1)
   in
   go 1
 

@@ -60,7 +60,8 @@ val mixes : cfg -> Runner.result list
 (** Stalled-thread robustness demonstration: parks one thread at an
     injection point (default mid-traversal, ["read"]) via
     {!Instance.fault_control}, reports the gauge stalled and after resume;
-    returns the printed rows. *)
+    returns the printed rows.  Raises [Failure] if a churning worker hits
+    a use-after-free. *)
 val stall :
   ?threads:int ->
   ?duration:float ->
@@ -91,6 +92,10 @@ type chaos_run = {
       (** mean unreclaimed over the first/last third of samples *)
   c_ok : bool;
       (** robust: stayed under [c_bound]; non-robust: clear growth *)
+  c_verdict : string;
+      (** ["ok"], or the failed check with its numbers:
+          ["BOUND EXCEEDED:max=..>bound=.."] or
+          ["NO GROWTH:last=..<=limit=.."] *)
   c_mem_series : Metrics.mem_sample list;
   c_trace : string list; (** injection events, trigger order *)
 }
@@ -155,15 +160,6 @@ val clean_floor :
   scheme:Smr.Registry.scheme ->
   unit ->
   floor_run
-
-val hybrid_floor :
-  ?structure:string ->
-  ?threads:int ->
-  ?range:int ->
-  ?duration:float ->
-  unit ->
-  floor_run
-(** [clean_floor ~scheme:HYB]. *)
 
 val floor_run_json : floor_run -> Json.t
 (** ["kind": "floor"] run entry for {!Report.write_bench_doc}. *)
@@ -234,6 +230,9 @@ type recover_run = {
           {!Report.note} by {!recover_matrix} *)
   rc_ok : bool;
   rc_verdict : string;
+      (** the success label, or the first failed check as
+          [NAME:numbers], e.g. ["PEAK BOUND EXCEEDED:max=..>bound=.."] *)
+  rc_checks : Soak.check list;  (** every check, in verdict order *)
   rc_mem_series : Metrics.mem_sample list;
   rc_trace : string list;
 }

@@ -113,4 +113,3 @@ let release t =
   end
 
 let rotations t = t.rotations
-let parked_count t = Queue.length t.parked

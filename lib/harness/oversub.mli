@@ -43,4 +43,3 @@ val rotations : t -> int
 (** Completed rotation swaps — the artifact's evidence that the excess
     workers actually time-sliced rather than starving. *)
 
-val parked_count : t -> int

@@ -1,11 +1,7 @@
-(* Timed multi-domain benchmark runs.
-
-   Protocol (mirroring the paper's harness): prefill the structure with 50%
-   of the key range, release all worker domains at once, run the op mix for
-   a fixed wall-clock duration, then stop and aggregate.  While workers run,
-   the coordinating domain samples the number of retired-but-unreclaimed
-   objects every [sample_every] seconds, keeping the timestamp of each
-   sample (the time axis of Figures 10-12).
+(* Timed multi-domain benchmark runs, mirroring the paper's harness:
+   prefill 50% of the key range, then run the op mix on the [Soak] engine
+   for a fixed duration while it samples the retired-but-unreclaimed
+   gauge with timestamps (the time axis of Figures 10-12).
 
    Timing: [duration] (the throughput denominator) is the measurement
    window, from releasing the workers to the instant the stop flag is
@@ -46,19 +42,13 @@ let run ?(mix = Workload.read_write_50) ?(skew = Workload.Uniform)
     ?(measure_latency = true) ?recorders ?workers ?domains ?supervise ?prepare
     ?finish ~(builder : Instance.builder) ~(scheme : Smr.Registry.scheme)
     ~threads ~range ~duration () =
-  (* [workers] < [threads] reserves the top tids for fault injection: they
-     get SMR handles (registered by the builder) but no workload domain —
-     the caller parks or crashes them via [Instance.fault] in [prepare]. *)
-  let workers = match workers with Some w -> w | None -> threads in
+  let workers = Option.value workers ~default:threads in
   if workers < 1 || workers > threads then
     invalid_arg "Runner.run: workers must be in [1, threads]";
-  (* [domains] < [workers] oversubscribes: every worker gets an OS domain,
-     but only [domains] of them are runnable at once — the excess are
-     parked mid-operation by the chaos engine and rotated back in at the
-     sample cadence (see [Oversub]). *)
-  let runnable = match domains with Some d -> d | None -> workers in
-  if runnable < 1 || runnable > workers then
-    invalid_arg "Runner.run: domains must be in [1, workers]";
+  (match domains with
+  | Some d when d < 1 || d > workers ->
+      invalid_arg "Runner.run: domains must be in [1, workers]"
+  | _ -> ());
   let inst = builder.build scheme ~threads ?config () in
   if range >= inst.max_key then
     invalid_arg "Runner.run: key range exceeds the structure's key space";
@@ -66,29 +56,14 @@ let run ?(mix = Workload.read_write_50) ?(skew = Workload.Uniform)
   Array.iter
     (fun k -> ignore (inst.insert ~tid:0 k))
     (Workload.prefill_keys ~range ~seed);
-  let go = Atomic.make false in
-  let stop = Atomic.make false in
-  (* Phase machinery: workers read the current mix from the schedule
-     through one atomic index per op; the coordinator advances the index
-     from its sampling loop (so phase resolution is [sample_every]).
-     With no [phases] the index stays 0 and the single entry is [mix] —
-     the static behaviour. *)
-  let sched = Workload.schedule ~fallback:mix phases in
-  (* Hoisted mix array: the worker hot loop indexes it unsafely rather
+  (* Workers read the current mix through the published phase index once
+     per op.  With no [phases] the index stays 0 and the single entry is
+     [mix].  The hoisted array is indexed unsafely in the hot loop rather
      than calling across the module boundary per op. *)
+  let sched = Workload.schedule ~fallback:mix phases in
   let mixes =
     Array.init (Workload.phase_count sched) (Workload.phase_mix sched)
   in
-  let phase_idx = Atomic.make 0 in
-  let set_phase now =
-    if Workload.phase_count sched > 1 then begin
-      let i = Workload.phase_index sched now in
-      if Atomic.get phase_idx <> i then Atomic.set phase_idx i
-    end
-  in
-  let ops_done = Array.make threads 0 in
-  let faults = Array.make threads 0 in
-  let sup = Option.map (fun cfg -> Supervisor.create cfg ~workers) supervise in
   let recorders =
     (* Callers running many repeats pass their own recorders so the buffers
        are reused instead of reallocated per run. *)
@@ -100,198 +75,95 @@ let run ?(mix = Workload.read_write_50) ?(skew = Workload.Uniform)
     | None -> Array.init threads (fun _ -> Metrics.create_recorder ())
   in
   (* The two measurement loops are split on [measure_latency] *outside* the
-     loop so the steady state is branch-free.  The timed loop pays two clock
-     reads and one boxed-float allocation per op; the untimed loop performs
-     no timestamp reads at all and allocates nothing per operation (the op
+     loop so the steady state is branch-free.  The timed loop pays two
+     allocation-free clock reads per op; the untimed loop performs no
+     timestamp reads at all and allocates nothing per operation (the op
      dispatch is an inline match, not a closure call). *)
-  let worker tid () =
+  let body (w : Soak.worker) =
+    let tid = w.tid and stop = w.stop and phase = w.phase in
+    let beat = w.beat and count = w.ops in
     let rng = Workload.Rng.create ~seed:(seed + (31 * (tid + 1))) in
     let sampler = Workload.sampler skew ~range in
     let recorder = recorders.(tid) in
-    (* Supervised workers bump their padded heartbeat cell once per op;
-       unsupervised ones bump a worker-local dummy so both loops stay a
-       single (allocation-free) code path. *)
-    let beat =
-      match sup with
-      | Some s -> Supervisor.beat_cell s ~tid
-      | None -> Atomic.make 0
-    in
-    while not (Atomic.get go) do
-      Domain.cpu_relax ()
-    done;
-    let count = ref 0 in
-    (try
-       if measure_latency then
-         while not (Atomic.get stop) do
-           let key = Workload.draw sampler rng in
-           let op =
-             Workload.op_for rng
-               (Array.unsafe_get mixes (Atomic.get phase_idx))
-           in
-           let t0 = Unix.gettimeofday () in
-           let hit =
-             match op with
-             | Workload.Search -> inst.search ~tid key
-             | Workload.Insert -> inst.insert ~tid key
-             | Workload.Delete -> inst.delete ~tid key
-           in
-           let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
-           let kind =
-             match op with
-             | Workload.Search -> Metrics.Search
-             | Workload.Insert -> Metrics.Insert
-             | Workload.Delete -> Metrics.Delete
-           in
-           Metrics.observe recorder kind ~hit ~ns;
-           Atomic.incr beat;
-           incr count
-         done
-       else
-         while not (Atomic.get stop) do
-           let key = Workload.draw sampler rng in
-           (match
-              Workload.op_for rng
-                (Array.unsafe_get mixes (Atomic.get phase_idx))
-            with
-           | Workload.Search ->
-               Metrics.count recorder Metrics.Search ~hit:(inst.search ~tid key)
-           | Workload.Insert ->
-               Metrics.count recorder Metrics.Insert ~hit:(inst.insert ~tid key)
-           | Workload.Delete ->
-               Metrics.count recorder Metrics.Delete
-                 ~hit:(inst.delete ~tid key));
-           Atomic.incr beat;
-           incr count
-         done
-     with
-    | Memory.Fault.Use_after_free _ ->
-        (* The simulated SEGFAULT: record and stop this worker. *)
-        faults.(tid) <- faults.(tid) + 1
-    | Chaos.Crashed ->
-        (* Fault injection killed this worker mid-operation (no [end_op]);
-           the run continues with the survivors — and, when supervised,
-           the coordinator recovers the handle and respawns. *)
-        (match sup with
-        | Some s -> Supervisor.notify_crashed s ~tid
-        | None -> ()));
-    (* Accumulate rather than assign: a respawned worker adds its ops to
-       its crashed predecessor's on the same tid. *)
-    ops_done.(tid) <- ops_done.(tid) + !count
+    fun () ->
+      if measure_latency then
+        while not (Atomic.get stop) do
+          let key = Workload.draw sampler rng in
+          let op =
+            Workload.op_for rng (Array.unsafe_get mixes (Atomic.get phase))
+          in
+          let t0 = Clock.ns () in
+          let hit =
+            match op with
+            | Workload.Search -> inst.search ~tid key
+            | Workload.Insert -> inst.insert ~tid key
+            | Workload.Delete -> inst.delete ~tid key
+          in
+          let ns = Clock.ns () - t0 in
+          let kind =
+            match op with
+            | Workload.Search -> Metrics.Search
+            | Workload.Insert -> Metrics.Insert
+            | Workload.Delete -> Metrics.Delete
+          in
+          Metrics.observe recorder kind ~hit ~ns;
+          Atomic.incr beat;
+          incr count
+        done
+      else
+        while not (Atomic.get stop) do
+          let key = Workload.draw sampler rng in
+          (match
+             Workload.op_for rng (Array.unsafe_get mixes (Atomic.get phase))
+           with
+          | Workload.Search ->
+              Metrics.count recorder Metrics.Search ~hit:(inst.search ~tid key)
+          | Workload.Insert ->
+              Metrics.count recorder Metrics.Insert ~hit:(inst.insert ~tid key)
+          | Workload.Delete ->
+              Metrics.count recorder Metrics.Delete
+                ~hit:(inst.delete ~tid key));
+          Atomic.incr beat;
+          incr count
+        done
   in
   (match prepare with Some f -> f inst | None -> ());
-  (* Arm the oversubscription rotation before any worker is released, so
-     the excess workers park at their very first probe crossing. *)
-  let oversub =
-    if runnable < workers then
-      Some
-        (Oversub.create
-           (inst.fault.engine ())
-           ~tids:(List.init workers Fun.id) ~runnable)
-    else None
+  (* Fault-injecting callers capture traces and release their stalled tids
+     in [finish]; the instance shutdown after it also covers an engine the
+     watchdog or the rotation created (a second shutdown is a no-op). *)
+  let target =
+    {
+      (Soak.instance_target inst) with
+      shutdown =
+        (fun () ->
+          (match finish with Some f -> f inst | None -> ());
+          inst.fault.shutdown ());
+    }
   in
-  let domains =
-    Array.init threads (fun tid ->
-        if tid < workers then Some (Domain.spawn (worker tid)) else None)
+  (* [workers] < [threads] reserves the top tids for fault injection: they
+     get SMR handles (registered by the builder) but no workload domain. *)
+  let o =
+    Soak.run ~sample_every ~schedule:sched ?supervise ?runnable:domains target
+      ~workers ~duration body
   in
-  let join_tid ~tid =
-    match domains.(tid) with
-    | Some d ->
-        Domain.join d;
-        domains.(tid) <- None
-    | None -> ()
-  in
-  let respawn ~tid = domains.(tid) <- Some (Domain.spawn (worker tid)) in
-  let samples = ref [] in
-  let t0 = Unix.gettimeofday () in
-  let supervise_check ~final =
-    match sup with
-    | None -> ()
-    | Some s ->
-        Supervisor.check s
-          ~now:(Unix.gettimeofday () -. t0)
-          ~final
-          ~engine:(fun () -> inst.fault.engine ())
-          ~recover:(fun ~tid -> inst.recover ~tid)
-          ~join:join_tid ~respawn
-  in
-  Atomic.set go true;
-  let rec sample_loop () =
-    let now = Unix.gettimeofday () in
-    if now -. t0 < duration then begin
-      ignore (Unix.select [] [] [] sample_every);
-      set_phase (Unix.gettimeofday () -. t0);
-      samples :=
-        {
-          Metrics.t = Unix.gettimeofday () -. t0;
-          unreclaimed = inst.unreclaimed ();
-        }
-        :: !samples;
-      supervise_check ~final:false;
-      (match oversub with Some o -> Oversub.tick o | None -> ());
-      sample_loop ()
-    end
-  in
-  sample_loop ();
-  Atomic.set stop true;
-  (* The throughput denominator ends here: joins and the post-stop drain
-     below are teardown, not measured work. *)
-  let elapsed = Unix.gettimeofday () -. t0 in
-  (* One last supervision pass so a crash between the final sample and the
-     stop flag still gets its handle recovered (no kill, no respawn); it
-     must run before [finish] can shut the chaos engine down, because
-     reviving the tid targets the engine that poisoned it. *)
-  supervise_check ~final:true;
-  (* Wind the rotation down before anything joins: disarm, then wake the
-     still-parked excess workers so they can observe the stop flag. *)
-  (match oversub with Some o -> Oversub.release o | None -> ());
-  (* Fault-injecting callers release stalled tids, join their driver
-     domains and uninstall the chaos engine here (typically
-     [inst.fault.shutdown]) so the joins and quiesce below cannot hang on
-     a parked domain or trip a poisoned tid. *)
-  (match finish with Some f -> f inst | None -> ());
-  Array.iter (function Some d -> Domain.join d | None -> ()) domains;
-  (* If the watchdog (or the oversubscription rotation) created the chaos
-     engine itself, no [finish] callback knows to uninstall it; a second
-     shutdown after one in [finish] is a no-op. *)
-  (match (sup, oversub) with
-  | None, None -> ()
-  | _ -> inst.fault.shutdown ());
-  let wall_total = Unix.gettimeofday () -. t0 in
-  (* Post-run reclamation flush so pool stats are stable, then validate.
-     A tid crashed by fault injection may refuse the pass; skip it. *)
-  for tid = 0 to threads - 1 do
-    try inst.quiesce ~tid with Chaos.Crashed -> ()
-  done;
-  let total_faults = Array.fold_left ( + ) 0 faults in
-  if check && total_faults = 0 then inst.check_invariants ();
-  let mem_series = List.rev !samples in
-  let n_samples = max 1 (List.length mem_series) in
-  let sum_unr =
-    List.fold_left (fun acc (s : Metrics.mem_sample) -> acc + s.unreclaimed)
-      0 mem_series
-  in
-  let max_unr =
-    List.fold_left (fun acc (s : Metrics.mem_sample) -> max acc s.unreclaimed)
-      0 mem_series
-  in
-  let ops = Array.fold_left ( + ) 0 ops_done in
+  if check && o.faults = 0 then inst.check_invariants ();
   {
     structure = inst.structure;
     scheme = inst.scheme;
     threads;
     range;
     mix;
-    ops;
-    duration = elapsed;
-    wall_total;
-    throughput = float_of_int ops /. elapsed;
+    ops = o.ops;
+    duration = o.elapsed;
+    wall_total = o.wall_total;
+    throughput = float_of_int o.ops /. o.elapsed;
     restarts = inst.restarts ();
-    avg_unreclaimed = float_of_int sum_unr /. float_of_int n_samples;
-    max_unreclaimed = max_unr;
-    mem_series;
+    avg_unreclaimed = o.avg_unreclaimed;
+    max_unreclaimed = o.max_unreclaimed;
+    mem_series = o.mem_series;
     op_stats = Metrics.merge recorders;
     scheme_stats = inst.scheme_stats ();
-    faults = total_faults;
-    final_size = (if total_faults = 0 then inst.size () else -1);
-    recoveries = (match sup with Some s -> Supervisor.events s | None -> []);
+    faults = o.faults;
+    final_size = (if o.faults = 0 then inst.size () else -1);
+    recoveries = o.recoveries;
   }

@@ -35,45 +35,28 @@ type result = {
 val default_sample_every : float
 
 (** [run ~builder ~scheme ~threads ~range ~duration ()] executes one
-    benchmark.  [mix] defaults to the paper's 50r/25i/25d; [skew]
-    (default {!Workload.Uniform}) selects the key distribution;
-    [phases] (default none) cycles through a time-varying mix sequence —
-    each worker reads the coordinator-published phase index once per op,
-    so [mix] becomes the label of record while the active mix follows
-    the schedule (resolution [sample_every]); [config] is the
-    SMR calibration; [check] (default true) verifies structure invariants
-    after a fault-free run; [sample_every] is the memory-gauge period;
-    [measure_latency] (default true) times every operation for the latency
-    histograms — when disabled the worker loop performs no timestamp reads
-    and allocates nothing per operation, for raw-throughput comparisons;
-    [recorders] lets callers running many repeats supply the per-thread
-    metric buffers (reset and reused; length must equal [threads]).
+    benchmark on the {!Soak} engine.  [mix] defaults to the paper's
+    50r/25i/25d; [skew] (default {!Workload.Uniform}) selects the key
+    distribution; [phases] (default none) cycles through a time-varying
+    mix sequence, [mix] staying the label of record (resolution
+    [sample_every], the gauge period); [config] is the SMR calibration;
+    [check] (default true) verifies structure invariants after a
+    fault-free run; [measure_latency] (default true) times every
+    operation — when disabled the worker loop reads no clock and
+    allocates nothing per operation; [recorders] lets callers running
+    many repeats reuse the per-thread metric buffers (length must equal
+    [threads]).
 
-    Fault injection: [workers] (default [threads]) spawns workload domains
-    only for tids [0, workers) — the remaining tids are registered SMR
-    participants reserved for {!Instance.fault_control}; [prepare] runs
-    after prefill and before the workers are released (stall victims
-    there); [finish] runs after the stop flag and before the worker joins
-    (call [inst.fault.shutdown] there).  Workers killed by
-    {!Chaos.Crashed} stop silently and the run continues.
-
-    Oversubscription: [domains] (default [workers]) caps how many workload
-    domains are runnable at once.  When [domains] < [workers] the excess
-    workers are parked {e mid-operation} (reservations published) by the
-    chaos engine and rotated back in at the sample cadence ({!Oversub}) —
-    deterministic preemption for [--workers] > available cores.  Parked
-    workers do not heartbeat, so combine with [supervise] only if
-    [heartbeat_timeout] comfortably exceeds the rotation period.
-
-    Crash supervision: passing [supervise] arms a {!Supervisor} — workers
-    heartbeat once per op, and the coordinator (inside its sample loop)
-    detects crashed or wedged workers, recovers their SMR handles
-    (deactivate + adopt + sweep, {!Instance.t.recover}) and respawns
-    replacements within the config's restart/backoff budget.  Recoveries
-    are reported in [result.recoveries].  Migration note: [result] gained
-    that field, so exhaustive record construction or pattern matches on
-    [result] need the extra line — callers reading fields are
-    unaffected. *)
+    Fault injection: [workers] (default [threads]) spawns workload
+    domains only for tids [0, workers), the rest being SMR participants
+    reserved for {!Instance.fault_control}; [prepare] runs before the
+    release (stall victims there), [finish] after the final supervision
+    pass and before the joins (capture traces there); the instance's
+    fault control is shut down after it.  [domains] < [workers]
+    oversubscribes and [supervise] recovers and respawns dead workers,
+    reported in [result.recoveries] (see {!Soak.run}); parked workers do
+    not heartbeat, so keep [heartbeat_timeout] above the rotation
+    period when combining the two. *)
 val run :
   ?mix:Workload.mix ->
   ?skew:Workload.skew ->

@@ -1,9 +1,9 @@
-(* Crash supervision for runner workers.
+(* Crash supervision for soak workers.
 
    Each supervised worker owns one heartbeat cell (cache-line spaced via
    [Memory.Padded] so the per-op bump never false-shares with a neighbour)
    and bumps it once per completed operation.  The supervisor runs on the
-   coordinating domain — piggybacked on the runner's existing gauge-sample
+   coordinating domain — piggybacked on the soak engine's gauge-sample
    loop, no extra domain — and per check pass drives a small per-tid state
    machine:
 
@@ -112,7 +112,6 @@ let beat_cell t ~tid = Memory.Padded.cell t.beats tid
 let notify_crashed t ~tid = Memory.Padded.set t.crash_flags tid true
 
 let events t = List.rev t.events
-let restarts t = Array.fold_left ( + ) 0 t.restarts
 
 (* One dead worker: join, un-poison, recover the handle, decide what
    happens next.  Called with the crash flag already consumed. *)

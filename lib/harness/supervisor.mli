@@ -1,11 +1,11 @@
-(** Crash supervision for {!Runner} workers: per-worker heartbeat cells, a
+(** Crash supervision for {!Soak} workers: per-worker heartbeat cells, a
     watchdog that detects workers dead past a timeout or raising
     {!Chaos.Crashed}, and a recovery path (join dead domain, revive the
     tid, deactivate + adopt its handle, respawn a replacement) driven from
     the coordinating domain's sample loop — no extra watchdog domain.
 
-    The supervisor is a state machine advanced by {!check}; the runner
-    supplies the domain-management callbacks so this module stays
+    The supervisor is a state machine advanced by {!check}; the soak
+    engine supplies the domain-management callbacks so this module stays
     ignorant of how workers are spawned.  Every recovery is recorded as a
     {!Metrics.recovery_event}. *)
 
@@ -74,5 +74,3 @@ val check :
 val events : t -> Metrics.recovery_event list
 (** Recoveries in chronological order. *)
 
-val restarts : t -> int
-(** Total recoveries across all tids. *)

@@ -1,35 +1,15 @@
-(* The `scotbench pressure` soak: drive a sharded store past its memory
-   budget and score how it degrades and recovers.
+(* The `scotbench pressure` soak (roles and verdicts: see the mli): a
+   [Harness.Soak] run whose per-sample hook drives three phases.
 
-   Three wall-clock phases:
-
-   - [clean]: all workers run; baseline reader throughput is measured.
-   - [ramp]: the oversubscribed extras (tids [domains, workers)) are
-     parked MID-READ by the chaos engine — reservations published,
+   - [clean]: all workers run; the readers' baseline throughput.
+   - [ramp]: the extras are parked MID-READ — reservations published,
      announcements pinned, exactly what a preempted thread looks like to
-     the SMR scheme — while the writers keep churning.  A non-robust
-     scheme's limbo now grows without bound; a robust scheme's plateaus
-     under its stalled-k ceiling, but typically far above the operator
-     budget, so the pressure state machine walks the shards through
-     Pressured into Degraded and admission starts shedding writes.
-   - [drain]: the extras are resumed; the gauge falls, the state machine
-     descends (hysteretically) back to Healthy, and admission reopens.
-
-   Roles are fixed so the liveness verdict is apples-to-apples: tids
-   [0, readers) only read (immediate gets — the path admission never
-   sheds), tids [readers, domains) only write (batched enqueues through
-   the typed admission front door with deadline + backoff), and the
-   extras read until parked.  The headline verdict is the dedicated
-   readers' ramp-phase throughput against their clean-phase baseline:
-   degradation must buy read liveness, not just reject work.
-
-   Run with [pv_enforce = false] the same soak becomes the negative
-   control: pressure is observed (and mitigation still fires) but
-   writers bypass admission, so a non-robust scheme (EBR) demonstrably
-   exceeds the reference robust ceiling — the paper's motivating failure
-   — while still draining once the stall clears. *)
-
-module B = Scot.Batch_op
+     the SMR scheme — while the writers churn.  A robust scheme's limbo
+     plateaus under its stalled-k ceiling, typically far above the
+     operator budget, so the shards walk into Degraded and admission
+     sheds writes; a non-robust scheme's grows without bound.
+   - [drain]: the extras are released and joined; the gauge falls and
+     the state machines descend (hysteretically) back to Healthy. *)
 
 open Harness
 
@@ -117,54 +97,30 @@ type result = {
 }
 
 let run cfg =
-  let {
-    pv_backend;
-    pv_scheme;
-    pv_shards;
-    pv_workers;
-    pv_domains;
-    pv_readers;
-    pv_range;
-    pv_clean_s;
-    pv_ramp_s;
-    pv_drain_s;
-    pv_batch_capacity;
-    pv_buckets;
-    pv_config;
-    pv_budget;
-    pv_budget_div;
-    pv_enforce;
-    pv_deadline_s;
-    pv_retry;
-    pv_ttl_pct;
-    pv_ttl_s;
-    pv_seed;
-    pv_sample_every;
-  } =
-    cfg
-  in
-  if pv_readers < 1 then invalid_arg "Overload.run: need at least one reader";
-  if pv_domains <= pv_readers then
+  if cfg.pv_readers < 1 then
+    invalid_arg "Overload.run: need at least one reader";
+  if cfg.pv_domains <= cfg.pv_readers then
     invalid_arg "Overload.run: need at least one writer (domains > readers)";
-  if pv_workers <= pv_domains then
+  if cfg.pv_workers <= cfg.pv_domains then
     invalid_arg
       "Overload.run: need at least one oversubscribed extra (workers > \
        domains)";
-  if pv_clean_s <= 0.0 || pv_ramp_s <= 0.0 || pv_drain_s <= 0.0 then
+  if cfg.pv_clean_s <= 0.0 || cfg.pv_ramp_s <= 0.0 || cfg.pv_drain_s <= 0.0 then
     invalid_arg "Overload.run: phase durations must be positive";
-  if pv_ttl_pct < 0 || pv_ttl_pct > 100 then
+  if cfg.pv_ttl_pct < 0 || cfg.pv_ttl_pct > 100 then
     invalid_arg "Overload.run: ttl_pct must be in [0, 100]";
-  if pv_budget_div < 1 then
+  if cfg.pv_budget_div < 1 then
     invalid_arg "Overload.run: budget_div must be >= 1";
   (* One extra client slot past the workers: the coordinator owns it and
      uses it for the synchronous sweeps [observe_pressure] runs on
      pressured shards (worker handles are single-owner, so the
      coordinator must never touch them). *)
-  let sweeper = pv_workers in
+  let sweeper = cfg.pv_workers in
   let store =
-    Store.create ?config:pv_config ~buckets:pv_buckets
-      ~batch_capacity:pv_batch_capacity ~backend:pv_backend ~scheme:pv_scheme
-      ~shards:pv_shards ~threads:(pv_workers + 1) ()
+    Store.create ?config:cfg.pv_config ~buckets:cfg.pv_buckets
+      ~batch_capacity:cfg.pv_batch_capacity ~backend:cfg.pv_backend
+      ~scheme:cfg.pv_scheme ~shards:cfg.pv_shards
+      ~threads:(cfg.pv_workers + 1) ()
   in
   let stats = Store.stats store in
   (* Arm the pressure state machines.  The budget is the operator's
@@ -178,21 +134,19 @@ let run cfg =
      stays below Pressured. *)
   let ibr = Smr.Registry.find_exn "IBR" in
   let budgets =
-    Array.init pv_shards (fun s ->
+    Array.init cfg.pv_shards (fun s ->
         let sh = Store.shard store s in
-        match pv_budget with
+        match cfg.pv_budget with
         | Some b -> b
         | None ->
+            (* IBR is robust, so its bound is always [Some]. *)
             let ref_b =
-              match
-                Harness.Chaos.mem_bound ibr ~config:sh.Shard.config
-                  ~threads:sh.Shard.threads ~slots:sh.Shard.slots
-                  ~range:pv_range ~stalled:0 ()
-              with
-              | Some b -> b
-              | None -> assert false (* IBR is robust *)
+              Option.get
+                (Chaos.mem_bound ibr ~config:sh.Shard.config
+                   ~threads:sh.Shard.threads ~slots:sh.Shard.slots
+                   ~range:cfg.pv_range ~stalled:0 ())
             in
-            max 1 (ref_b / pv_budget_div))
+            max 1 (ref_b / cfg.pv_budget_div))
   in
   (* quiesce_samples 2 (default 3): on oversubscribed hosts the raw
      gauge carries OS-preemption pinning spikes (a writer preempted
@@ -204,29 +158,28 @@ let run cfg =
     (Array.map
        (fun b -> Pressure.make_config ~budget:b ~quiesce_samples:2 ())
        budgets);
-  (* Prefill 50% of the key range directly through the shards, bypassing
-     the stats so the counters measure served requests only. *)
-  Array.iter
-    (fun k ->
-      let s = Store.shard_of store k in
-      ignore ((Store.shard store s).Shard.insert ~tid:0 k))
-    (Workload.prefill_keys ~range:pv_range ~seed:pv_seed);
-  let eng = Chaos.create ~threads:pv_workers () in
-  Chaos.install eng;
-  let extras = List.init (pv_workers - pv_domains) (fun i -> pv_domains + i) in
-  let go = Atomic.make false in
-  let stop = Atomic.make false in
-  (* 0 = clean, 1 = ramp, 2 = drain; advanced by the coordinator. *)
-  let phase = Atomic.make 0 in
-  (* reads.(phase).(tid): single-writer cells, read after join. *)
-  let reads = Array.init 3 (fun _ -> Array.make pv_workers 0) in
-  let accepted = Array.make pv_workers 0 in
-  let gave_up = Array.make pv_workers 0 in
-  let deadlined = Array.make pv_workers 0 in
-  let faults = Array.make pv_workers 0 in
-  let reader_loop ?(extra = false) tid =
-    let rng = Workload.Rng.create ~seed:(pv_seed + (31 * (tid + 1))) in
-    let sampler = Workload.sampler Workload.Uniform ~range:pv_range in
+  (* [pv_workers + 1] quiesced tids: the coordinator's sweeper slot too. *)
+  let target =
+    Serve.soak_target store ~threads:(cfg.pv_workers + 1) ~range:cfg.pv_range
+      ~seed:cfg.pv_seed
+  in
+  (* Installed for the whole run, not only from the ramp on, so the clean
+     baseline pays the same probe cost as the degraded window it scores. *)
+  ignore (target.engine ());
+  let extras =
+    List.init (cfg.pv_workers - cfg.pv_domains) (fun i -> cfg.pv_domains + i)
+  in
+  (* reads.(phase).(tid): single-writer cells, read after join; the
+     published phase index is 0 = clean, 1 = ramp, 2 = drain. *)
+  let reads = Array.init 3 (fun _ -> Array.make cfg.pv_workers 0) in
+  let accepted = Array.make cfg.pv_workers 0 in
+  let gave_up = Array.make cfg.pv_workers 0 in
+  let deadlined = Array.make cfg.pv_workers 0 in
+  let reader_loop (w : Soak.worker) =
+    let tid = w.tid and stop = w.stop and phase = w.phase in
+    let extra = tid >= cfg.pv_domains in
+    let rng = Workload.Rng.create ~seed:(cfg.pv_seed + (31 * (tid + 1))) in
+    let sampler = Workload.sampler Workload.Uniform ~range:cfg.pv_range in
     let client = Store.client store ~tid in
     (* Extras retire from service at drain entry: they are ramp
        instruments, and exiting (rather than looping on) both frees a
@@ -234,73 +187,70 @@ let run cfg =
        is withdrawn for good — a resumed extra that merely keeps reading
        can sit unscheduled for hundreds of ms on a loaded single-core
        host with its mid-bracket reservation still pinning the limbo. *)
-    while not (Atomic.get stop) && not (extra && Atomic.get phase >= 2) do
-      let key = Workload.draw sampler rng in
-      ignore (Store.get client key);
-      let ph = Atomic.get phase in
-      reads.(ph).(tid) <- reads.(ph).(tid) + 1
-    done
+    fun () ->
+      while not (Atomic.get stop) && not (extra && Atomic.get phase >= 2) do
+        let key = Workload.draw sampler rng in
+        ignore (Store.get client key);
+        let ph = Atomic.get phase in
+        reads.(ph).(tid) <- reads.(ph).(tid) + 1
+      done
   in
-  let writer_loop tid =
-    let rng = Workload.Rng.create ~seed:(pv_seed + (31 * (tid + 1))) in
-    let sampler = Workload.sampler Workload.Uniform ~range:pv_range in
-    let client = Store.client store ~tid in
-    while not (Atomic.get stop) do
-      let key = Workload.draw sampler rng in
-      let is_put = Workload.Rng.int rng 2 = 0 in
-      let ttl_s =
-        if is_put && pv_ttl_pct > 0 && Workload.Rng.int rng 100 < pv_ttl_pct
-        then Some pv_ttl_s
-        else None
-      in
-      if pv_enforce then begin
-        let dl = Unix.gettimeofday () +. pv_deadline_s in
-        let attempt () : unit Backoff.outcome =
-          match
-            if is_put then Store.try_enqueue_put ?ttl_s ~deadline:dl client key
-            else Store.try_enqueue_delete ~deadline:dl client key
-          with
-          | `Queued -> `Done ()
-          | `Overload -> `Overload
-          | `Deadline_exceeded -> `Deadline_exceeded
+  let writer_loop (w : Soak.worker) =
+    let tid = w.tid and stop = w.stop in
+    let rng = Workload.Rng.create ~seed:(cfg.pv_seed + (31 * (tid + 1))) in
+    let sampler = Workload.sampler Workload.Uniform ~range:cfg.pv_range in
+    (* Deadlines, backoff and the store's own deadline check share the
+       monotonic clock. *)
+    let client = Store.client ~now:Clock.now store ~tid in
+    fun () ->
+      while not (Atomic.get stop) do
+        let key = Workload.draw sampler rng in
+        let is_put = Workload.Rng.int rng 2 = 0 in
+        let ttl_s =
+          if
+            is_put && cfg.pv_ttl_pct > 0
+            && Workload.Rng.int rng 100 < cfg.pv_ttl_pct
+          then Some cfg.pv_ttl_s
+          else None
         in
-        match
-          Backoff.run pv_retry ~rng ~now:Unix.gettimeofday ~sleep:Unix.sleepf
-            ~deadline:dl
-            ~on_retry:(fun ~attempt:_ -> Stats.record_retry stats ~tid)
-            attempt
-        with
-        | `Done () -> accepted.(tid) <- accepted.(tid) + 1
-        | `Overload -> gave_up.(tid) <- gave_up.(tid) + 1
-        | `Deadline_exceeded -> deadlined.(tid) <- deadlined.(tid) + 1
-      end
-      else begin
-        (* Monitor-only: bypass admission entirely (the legacy enqueue
-           path is never gated) — the negative control keeps writing
-           straight through Degraded. *)
-        (if is_put then Store.enqueue_put ?ttl_s client key
-         else Store.enqueue_delete client key);
-        accepted.(tid) <- accepted.(tid) + 1
-      end
-    done;
-    (* Drain the queued tail (teardown, not measured work). *)
-    Store.flush client
+        if cfg.pv_enforce then begin
+          let dl = Clock.now () +. cfg.pv_deadline_s in
+          let attempt () : unit Backoff.outcome =
+            match
+              if is_put then
+                Store.try_enqueue_put ?ttl_s ~deadline:dl client key
+              else Store.try_enqueue_delete ~deadline:dl client key
+            with
+            | `Queued -> `Done ()
+            | `Overload -> `Overload
+            | `Deadline_exceeded -> `Deadline_exceeded
+          in
+          match
+            Backoff.run cfg.pv_retry ~rng ~now:Clock.now ~sleep:Unix.sleepf
+              ~deadline:dl
+              ~on_retry:(fun ~attempt:_ -> Stats.record_retry stats ~tid)
+              attempt
+          with
+          | `Done () -> accepted.(tid) <- accepted.(tid) + 1
+          | `Overload -> gave_up.(tid) <- gave_up.(tid) + 1
+          | `Deadline_exceeded -> deadlined.(tid) <- deadlined.(tid) + 1
+        end
+        else begin
+          (* Monitor-only: bypass admission entirely (the legacy enqueue
+             path is never gated) — the negative control keeps writing
+             straight through Degraded. *)
+          (if is_put then Store.enqueue_put ?ttl_s client key
+           else Store.enqueue_delete client key);
+          accepted.(tid) <- accepted.(tid) + 1
+        end
+      done;
+      (* Drain the queued tail (teardown, not measured work). *)
+      Store.flush client
   in
-  let worker tid () =
-    while not (Atomic.get go) do
-      Domain.cpu_relax ()
-    done;
-    try
-      if tid >= pv_readers && tid < pv_domains then writer_loop tid
-      else reader_loop ~extra:(tid >= pv_domains) tid
-    with
-    | Memory.Fault.Use_after_free _ -> faults.(tid) <- faults.(tid) + 1
-    | Chaos.Crashed -> ()
+  let body (w : Soak.worker) =
+    if w.tid >= cfg.pv_readers && w.tid < cfg.pv_domains then writer_loop w
+    else reader_loop w
   in
-  let domains =
-    Array.init pv_workers (fun tid -> Domain.spawn (worker tid))
-  in
-  let samples = ref [] in
   let parked_k = ref 0 in
   (* recovered_seen.(s): shard [s] was observed below [Degraded_ttl]
      (i.e. it stopped shedding writes) during the drain phase, with the
@@ -312,159 +262,84 @@ let run cfg =
      writes admitted again under continuing load — is the property the
      run scores here; memory recovery is scored separately by the
      deterministic post-quiesce bound check. *)
-  let recovered_seen = Array.make pv_shards false in
-  let t0 = Unix.gettimeofday () in
+  let recovered_seen = Array.make cfg.pv_shards false in
   let ramp_t = ref 0.0 in
   let drain_t = ref 0.0 in
-  let total = ref (pv_clean_s +. pv_ramp_s +. pv_drain_s) in
-  let extras_joined = ref false in
-  let release_extras () =
-    (* Disarm BEFORE resuming: an armed-but-unfired stall rule would
-       otherwise fire after the release and park the victim with nobody
-       left to wake it.  Resume only tids that actually parked — a
-       resume issued to a running tid would be consumed by nothing and a
-       resume issued before the park would be LOST. *)
-    List.iter
-      (fun tid ->
-        Chaos.disarm eng ~tid ~point:Smr.Probe.Read;
-        if Chaos.parked eng ~tid then Chaos.resume eng ~tid)
-      extras
+  let on_sample ctl ~now =
+    if Soak.phase ctl = 0 && now >= cfg.pv_clean_s then begin
+      Soak.set_phase ctl 1;
+      ramp_t := now;
+      (* Park every extra at its next protected-load crossing: pinned
+         announcement, published reservation — a preempted reader. *)
+      parked_k := Soak.park ctl ~tids:extras
+    end;
+    if Soak.phase ctl = 1 && now >= cfg.pv_clean_s +. cfg.pv_ramp_s then begin
+      Soak.set_phase ctl 2;
+      Soak.release ctl ~tids:extras;
+      (* Join the extras before the drain clock starts: a resumed
+         extra exits its loop, but until the OS actually schedules it
+         to finish the in-flight bracket its published reservation
+         keeps pinning the limbo — on an oversubscribed host that can
+         take hundreds of ms, nondeterministically eating the drain
+         window.  Blocking here is the deterministic fix (and frees
+         this core for the woken extra); the drain deadline is then
+         re-based so every run gets a full pin-free drain.  The mem
+         series has a corresponding gap, never a missed peak: the
+         peak is a ramp-phase event. *)
+      List.iter (fun tid -> Soak.join ctl ~tid) extras;
+      drain_t := Soak.now ctl;
+      Soak.set_until ctl (!drain_t +. cfg.pv_drain_s)
+    end;
+    ignore
+      (Store.observe_pressure ~sweep_tid:sweeper store ~now:(Soak.now ctl));
+    if Soak.phase ctl = 2 then
+      for s = 0 to cfg.pv_shards - 1 do
+        if
+          Pressure.level_rank (Store.shard_level store s)
+          < Pressure.level_rank Pressure.Degraded_ttl
+        then recovered_seen.(s) <- true
+      done
   in
-  Atomic.set go true;
-  let rec sample_loop () =
-    if Unix.gettimeofday () -. t0 < !total then begin
-      ignore (Unix.select [] [] [] pv_sample_every);
-      let el = Unix.gettimeofday () -. t0 in
-      if Atomic.get phase = 0 && el >= pv_clean_s then begin
-        Atomic.set phase 1;
-        ramp_t := el;
-        (* Park every extra at its next protected-load crossing: pinned
-           announcement, published reservation — a preempted reader. *)
-        List.iter
-          (fun tid ->
-            Chaos.arm eng ~tid ~point:Smr.Probe.Read ~after:0
-              (Chaos.Stall { for_s = None }))
-          extras;
-        List.iter
-          (fun tid ->
-            if Chaos.wait_parked ~timeout_s:1.0 eng ~tid then incr parked_k)
-          extras
-      end;
-      if Atomic.get phase = 1 && el >= pv_clean_s +. pv_ramp_s then begin
-        Atomic.set phase 2;
-        release_extras ();
-        (* Join the extras before the drain clock starts: a resumed
-           extra exits its loop, but until the OS actually schedules it
-           to finish the in-flight bracket its published reservation
-           keeps pinning the limbo — on an oversubscribed host that can
-           take hundreds of ms, nondeterministically eating the drain
-           window.  Blocking here is the deterministic fix (and frees
-           this core for the woken extra); the drain deadline is then
-           re-based so every run gets a full pin-free drain.  The mem
-           series has a corresponding gap, never a missed peak: the
-           peak is a ramp-phase event. *)
-        List.iter (fun tid -> Domain.join domains.(tid)) extras;
-        extras_joined := true;
-        drain_t := Unix.gettimeofday () -. t0;
-        total := !drain_t +. pv_drain_s
-      end;
-      samples :=
-        {
-          Metrics.t = Unix.gettimeofday () -. t0;
-          unreclaimed = Store.unreclaimed store;
-        }
-        :: !samples;
-      if Sys.getenv_opt "OVERLOAD_DEBUG" <> None then begin
-        let shard_dbg =
-          String.concat " "
-            (List.init pv_shards (fun s ->
-                 let sh = Store.shard store s in
-                 Printf.sprintf "s%d=%d/%s" s
-                   (sh.Shard.unreclaimed ())
-                   (Pressure.level_name (Store.shard_level store s))))
-        in
-        let parked_dbg =
-          String.concat ""
-            (List.map
-               (fun tid -> if Chaos.parked eng ~tid then "P" else ".")
-               extras)
-        in
-        Printf.eprintf "[dbg] t=%.3f ph=%d %s extras=%s queued=%d\n%!" el
-          (Atomic.get phase) shard_dbg parked_dbg
-          (let st = Store.stats store in
-           let q = ref 0 in
-           for s = 0 to pv_shards - 1 do
-             q := !q + Stats.queued_depth st ~shard:s
-           done;
-           !q)
-      end;
-      ignore
-        (Store.observe_pressure ~sweep_tid:sweeper store
-           ~now:(Unix.gettimeofday () -. t0));
-      if Atomic.get phase = 2 then
-        for s = 0 to pv_shards - 1 do
-          if
-            Pressure.level_rank (Store.shard_level store s)
-            < Pressure.level_rank Pressure.Degraded_ttl
-          then recovered_seen.(s) <- true
-        done;
-      sample_loop ()
-    end
+  (* If the drain transition never ran (degenerate phase durations vs
+     the sample period), the target shutdown wakes the parked extras. *)
+  let o =
+    Soak.run ~sample_every:cfg.pv_sample_every ~on_sample target
+      ~workers:cfg.pv_workers
+      ~duration:(cfg.pv_clean_s +. cfg.pv_ramp_s +. cfg.pv_drain_s)
+      body
   in
-  sample_loop ();
-  Atomic.set stop true;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  (* Safety net: if the drain transition never ran (degenerate phase
-     durations vs the sample period), the extras are still parked and
-     the joins below would hang.  Idempotent after a normal drain. *)
-  release_extras ();
-  Array.iteri
-    (fun tid d ->
-      if not (!extras_joined && tid >= pv_domains) then Domain.join d)
-    domains;
-  Chaos.uninstall ();
-  for tid = 0 to pv_workers do
-    Store.quiesce store ~tid
-  done;
+  let elapsed = o.elapsed in
   let post_quiesced = Store.unreclaimed store in
-  let mem_series = List.rev !samples in
-  let max_unr =
-    List.fold_left
-      (fun acc (s : Metrics.mem_sample) -> max acc s.unreclaimed)
-      0 mem_series
-  in
+  let max_unr = o.max_unreclaimed in
   let k = !parked_k in
-  let stall_bound = Store.ref_mem_bound store ~range:pv_range ~stalled:k () in
-  let nostall_bound =
-    Store.ref_mem_bound store ~range:pv_range ~stalled:0 ()
+  let stall_bound =
+    Store.ref_mem_bound store ~range:cfg.pv_range ~stalled:k ()
   in
-  let bound = Store.mem_bound store ~range:pv_range ~stalled:k () in
+  let nostall_bound =
+    Store.ref_mem_bound store ~range:cfg.pv_range ~stalled:0 ()
+  in
+  let bound = Store.mem_bound store ~range:cfg.pv_range ~stalled:k () in
+  let rank = Pressure.level_rank in
+  let shards = List.init cfg.pv_shards Fun.id in
   let recovered =
-    let ok = ref true in
-    for s = 0 to pv_shards - 1 do
-      if
-        not recovered_seen.(s)
-        && Pressure.level_rank (Store.shard_level store s)
-           >= Pressure.level_rank Pressure.Degraded_ttl
-      then ok := false
-    done;
-    !ok
+    List.for_all
+      (fun s ->
+        recovered_seen.(s)
+        || rank (Store.shard_level store s) < rank Pressure.Degraded_ttl)
+      shards
   in
   let max_level =
-    let worst = ref Pressure.Healthy in
-    for s = 0 to pv_shards - 1 do
-      match Store.pressure store s with
-      | Some p
-        when Pressure.level_rank (Pressure.max_level p)
-             > Pressure.level_rank !worst ->
-          worst := Pressure.max_level p
-      | _ -> ()
-    done;
-    !worst
+    List.fold_left
+      (fun worst s ->
+        match Store.pressure store s with
+        | Some p when rank (Pressure.max_level p) > rank worst ->
+            Pressure.max_level p
+        | _ -> worst)
+      Pressure.Healthy shards
   in
   let transitions =
     List.concat
-      (List.init pv_shards (fun s ->
+      (List.init cfg.pv_shards (fun s ->
            match Store.pressure store s with
            | Some p -> List.map (fun tr -> (s, tr)) (Pressure.transitions p)
            | None -> []))
@@ -472,59 +347,56 @@ let run cfg =
   (* Dedicated readers' phase throughput: clean is the baseline, ramp is
      the degraded window the liveness verdict scores. *)
   let phase_reads ph =
-    let sum = ref 0 in
-    for tid = 0 to pv_readers - 1 do
-      sum := !sum + reads.(ph).(tid)
-    done;
-    !sum
+    Array.fold_left ( + ) 0 (Array.sub reads.(ph) 0 cfg.pv_readers)
   in
-  let clean_d = if !ramp_t > 0.0 then !ramp_t else pv_clean_s in
+  let clean_d = if !ramp_t > 0.0 then !ramp_t else cfg.pv_clean_s in
   let ramp_d =
     if !drain_t > !ramp_t && !ramp_t > 0.0 then !drain_t -. !ramp_t
-    else pv_ramp_s
+    else cfg.pv_ramp_s
   in
   let read_clean_tp = float_of_int (phase_reads 0) /. clean_d in
   let read_degraded_tp = float_of_int (phase_reads 1) /. ramp_d in
   let read_live_ratio =
     if read_clean_tp > 0.0 then read_degraded_tp /. read_clean_tp else 0.0
   in
-  let total_faults = Array.fold_left ( + ) 0 faults in
-  let invariants_ok =
-    try
-      Store.check_invariants store;
-      true
-    with _ -> false
-  in
+  let total_faults = o.faults in
   let shed_ttl = Stats.shed_ttl_total stats in
   let shed_all = Stats.shed_write_total stats in
+  let post_gauge =
+    Soak.check "post-gauge" (post_quiesced <= nostall_bound)
+      ~detail:(Printf.sprintf "%d>%d" post_quiesced nostall_bound)
+  in
   let verdict =
-    if total_faults > 0 then Printf.sprintf "uaf:%d" total_faults
-    else if not invariants_ok then "invariants-failed"
-    else if k = 0 then "no-extras-parked"
-    else if pv_enforce then
-      if Pressure.level_rank max_level < Pressure.level_rank Degraded_ttl then
-        Printf.sprintf "no-degrade:max=%s" (Pressure.level_name max_level)
-      else if shed_ttl + shed_all = 0 then "no-shed"
-      else if not recovered then "not-recovered"
-      else if read_live_ratio < 0.5 then
-        Printf.sprintf "reads-stalled:%.2f" read_live_ratio
-      else if max_unr > stall_bound then
-        Printf.sprintf "over-stall-bound:%d>%d" max_unr stall_bound
-      else if post_quiesced > nostall_bound then
-        Printf.sprintf "post-gauge:%d>%d" post_quiesced nostall_bound
-      else "ok"
-    else if
-      (* Negative control: the whole point is that the gauge escapes the
-         reference robust ceiling while the stall lasts... *)
-      max_unr <= stall_bound
-    then Printf.sprintf "expected-overflow-missing:%d<=%d" max_unr stall_bound
-    else if post_quiesced > nostall_bound then
-      (* ...but once the stall clears even EBR must drain. *)
-      Printf.sprintf "post-gauge:%d>%d" post_quiesced nostall_bound
-    else "ok"
+    Soak.verdict
+      (Soak.check "uaf" (total_faults = 0) ~detail:(string_of_int total_faults)
+       :: Soak.check "invariants-failed" (Serve.invariants_hold store)
+       :: Soak.check "no-extras-parked" (k > 0)
+       ::
+       (if cfg.pv_enforce then
+          [
+            Soak.check "no-degrade"
+              (rank max_level >= rank Degraded_ttl)
+              ~detail:("max=" ^ Pressure.level_name max_level);
+            Soak.check "no-shed" (shed_ttl + shed_all > 0);
+            Soak.check "not-recovered" recovered;
+            Soak.check "reads-stalled" (read_live_ratio >= 0.5)
+              ~detail:(Printf.sprintf "%.2f" read_live_ratio);
+            Soak.check "over-stall-bound" (max_unr <= stall_bound)
+              ~detail:(Printf.sprintf "%d>%d" max_unr stall_bound);
+            post_gauge;
+          ]
+        else
+          (* Negative control: the gauge must escape the reference robust
+             ceiling while the stall lasts, but once it clears even EBR
+             must drain. *)
+          [
+            Soak.check "expected-overflow-missing" (max_unr > stall_bound)
+              ~detail:(Printf.sprintf "%d<=%d" max_unr stall_bound);
+            post_gauge;
+          ]))
   in
   {
-    r_enforce = pv_enforce;
+    r_enforce = cfg.pv_enforce;
     r_parked = k;
     r_ops = Stats.total_ops stats;
     r_duration = elapsed;
@@ -548,7 +420,7 @@ let run cfg =
     r_max_level = max_level;
     r_recovered = recovered;
     r_transitions = transitions;
-    r_mem_series = mem_series;
+    r_mem_series = o.mem_series;
     r_faults = total_faults;
     r_final_size = Store.size store;
     r_ok = verdict = "ok";

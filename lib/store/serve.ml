@@ -1,28 +1,15 @@
-(* The `scotbench serve` soak: a timed multi-domain service-tier run
-   over a sharded store, with the supervisor and chaos engine live.
+(* The `scotbench serve` soak: a [Harness.Soak] run that drives requests
+   through [Store] clients in one of two dispatch modes — [Per_op] (one
+   SMR bracket per request, the baseline) or [Batched] (per-shard groups,
+   one bracket each).  Both modes share the scheme config, hence the
+   memory ceiling, so the pair measures the bracket-entry amortisation.
 
-   Mirrors [Harness.Runner.run]'s protocol (prefill, release, sample
-   loop advancing phases and supervision, stop, final supervision pass
-   BEFORE engine shutdown, joins, quiesce, verdicts) but drives requests
-   through [Store] clients instead of a bare instance, in one of two
-   dispatch modes:
-
-   - [Per_op]: every request takes its own SMR bracket (the baseline);
-   - [Batched]: requests queue into per-shard groups and each group
-     executes under one bracket ([Store.enqueue_*] + auto-flush).
-
-   Running both modes over the same cfg measures the bracket-entry
-   amortisation at an equal configured memory ceiling (same scheme
-   config, hence same limbo thresholds, in both runs).
-
-   Crash soak: [sv_crash] top worker tids are armed to crash at a
-   protected-load probe mid-run; the supervisor joins the dead domain,
-   revives the tid, recovers its handle on EVERY shard (adopting the
-   orphaned limbos) and respawns a fresh worker with a fresh client —
-   the crashed client's queued requests are dropped by design.  The
-   verdict demands every armed crash was recovered (no abandonment),
-   the post-quiesce gauge stays under the summed per-shard robust bound,
-   and structural invariants hold. *)
+   Crash soak: [sv_crash] top worker tids crash at a protected-load probe
+   mid-run; the supervisor recovers each tid's handle on EVERY shard and
+   respawns it with a fresh client (the crashed client's queued requests
+   are dropped by design).  The verdict demands every crash recovered,
+   the post-quiesce gauge under the summed per-shard robust bound, and
+   structural invariants. *)
 
 module B = Scot.Batch_op
 open Harness
@@ -111,116 +98,68 @@ type result = {
   r_verdict : string;
 }
 
+(* {2 Store soaks} (shared with [Overload]) *)
+
+let soak_target store ~threads ~range ~seed =
+  Array.iter
+    (fun k ->
+      let s = Store.shard_of store k in
+      ignore ((Store.shard store s).Shard.insert ~tid:0 k))
+    (Workload.prefill_keys ~range ~seed);
+  Soak.target ~threads
+    ~unreclaimed:(fun () -> Store.unreclaimed store)
+    ~recover:(fun ~tid -> Store.recover store ~tid)
+    ~quiesce:(fun ~tid -> Store.quiesce store ~tid)
+
+let invariants_hold store =
+  match Store.check_invariants store with () -> true | exception _ -> false
+
 let run cfg mode =
-  let {
-    sv_backend;
-    sv_scheme;
-    sv_shards;
-    sv_threads;
-    sv_range;
-    sv_duration;
-    sv_batch_capacity;
-    sv_buckets;
-    sv_config;
-    sv_mix;
-    sv_skew;
-    sv_phases;
-    sv_seed;
-    sv_ttl_pct;
-    sv_ttl_s;
-    sv_crash;
-    sv_domains;
-    sv_supervise;
-    sv_sample_every;
-  } =
-    cfg
-  in
-  if sv_crash < 0 || sv_crash >= sv_threads then
+  if cfg.sv_crash < 0 || cfg.sv_crash >= cfg.sv_threads then
     invalid_arg "Serve.run: crash count must be in [0, threads)";
-  if sv_ttl_pct < 0 || sv_ttl_pct > 100 then
+  if cfg.sv_ttl_pct < 0 || cfg.sv_ttl_pct > 100 then
     invalid_arg "Serve.run: ttl_pct must be in [0, 100]";
-  let runnable = match sv_domains with Some d -> d | None -> sv_threads in
-  if runnable < 1 || runnable > sv_threads then
+  let runnable = Option.value cfg.sv_domains ~default:cfg.sv_threads in
+  if runnable < 1 || runnable > cfg.sv_threads then
     invalid_arg "Serve.run: domains must be in [1, threads]";
-  if runnable < sv_threads && sv_crash > 0 then
+  if runnable < cfg.sv_threads && cfg.sv_crash > 0 then
     (* The crash victims are the top tids; the oversubscription rotation
        would keep re-arming stall rules on the same cells.  Orthogonal
        adversaries, separate runs. *)
     invalid_arg "Serve.run: oversubscription and crash arming are exclusive";
   let store =
-    Store.create ?config:sv_config ~buckets:sv_buckets
-      ~batch_capacity:sv_batch_capacity ~backend:sv_backend ~scheme:sv_scheme
-      ~shards:sv_shards ~threads:sv_threads ()
+    Store.create ?config:cfg.sv_config ~buckets:cfg.sv_buckets
+      ~batch_capacity:cfg.sv_batch_capacity ~backend:cfg.sv_backend
+      ~scheme:cfg.sv_scheme ~shards:cfg.sv_shards ~threads:cfg.sv_threads ()
   in
-  (* Prefill 50% of the key range directly through the shards, bypassing
-     the stats so per-shard counters measure served requests only. *)
-  Array.iter
-    (fun k ->
-      let s = Store.shard_of store k in
-      ignore ((Store.shard store s).Shard.insert ~tid:0 k))
-    (Workload.prefill_keys ~range:sv_range ~seed:sv_seed);
-  let go = Atomic.make false in
-  let stop = Atomic.make false in
-  (* Phase machinery, as in Runner: workers read the current mix through
-     one atomic index the coordinator advances from its sample loop. *)
-  let sched = Workload.schedule ~fallback:sv_mix sv_phases in
-  (* Hoisted mix array: the worker hot loop indexes it unsafely rather
-     than calling across the module boundary per request. *)
+  (* Phases as in Runner; the hoisted mix array is indexed unsafely in the
+     hot loop rather than calling across the module boundary per request. *)
+  let sched = Workload.schedule ~fallback:cfg.sv_mix cfg.sv_phases in
   let mixes =
     Array.init (Workload.phase_count sched) (Workload.phase_mix sched)
   in
-  let phase_idx = Atomic.make 0 in
-  let set_phase now =
-    if Workload.phase_count sched > 1 then begin
-      let i = Workload.phase_index sched now in
-      if Atomic.get phase_idx <> i then Atomic.set phase_idx i
-    end
-  in
-  let sup = Supervisor.create sv_supervise ~workers:sv_threads in
   let recorders =
-    Array.init sv_threads (fun _ -> Metrics.create_recorder ())
+    Array.init cfg.sv_threads (fun _ -> Metrics.create_recorder ())
   in
-  let ops_done = Array.make sv_threads 0 in
-  (* Chaos engine: eager when crashes are armed, lazy otherwise (the
-     watchdog may still demand it for a heartbeat kill). *)
-  let eng = ref None in
-  let engine () =
-    match !eng with
-    | Some e -> e
-    | None ->
-        let e = Chaos.create ~threads:sv_threads () in
-        Chaos.install e;
-        eng := Some e;
-        e
+  let target =
+    soak_target store ~threads:cfg.sv_threads ~range:cfg.sv_range
+      ~seed:cfg.sv_seed
   in
-  let victims = List.init sv_crash (fun i -> sv_threads - 1 - i) in
+  let victims = List.init cfg.sv_crash (fun i -> cfg.sv_threads - 1 - i) in
   List.iteri
     (fun i tid ->
       (* Crash at a protected-load crossing mid-run; stagger countdowns
          so multiple victims do not die in lock-step. *)
-      Chaos.arm (engine ()) ~tid ~point:Smr.Probe.Read
+      Chaos.arm (target.engine ()) ~tid ~point:Smr.Probe.Read
         ~after:(200 * (i + 1))
         Chaos.Crash)
     victims;
-  (* Oversubscription: arm the rotation before any worker is released so
-     the excess workers park at their first probe crossing.  Parked
-     workers do not heartbeat; the watchdog tolerates them as long as
-     rotation latency (parked count x sample period) stays well under
-     [heartbeat_timeout] — see the mli. *)
-  let oversub =
-    if runnable < sv_threads then
-      Some
-        (Oversub.create (engine ())
-           ~tids:(List.init sv_threads Fun.id)
-           ~runnable)
-    else None
-  in
-  let worker tid () =
-    let rng = Workload.Rng.create ~seed:(sv_seed + (31 * (tid + 1))) in
-    let sampler = Workload.sampler sv_skew ~range:sv_range in
+  let body (w : Soak.worker) =
+    let tid = w.tid and stop = w.stop and phase = w.phase in
+    let beat = w.beat and count = w.ops in
+    let rng = Workload.Rng.create ~seed:(cfg.sv_seed + (31 * (tid + 1))) in
+    let sampler = Workload.sampler cfg.sv_skew ~range:cfg.sv_range in
     let recorder = recorders.(tid) in
-    let beat = Supervisor.beat_cell sup ~tid in
-    let count = ref 0 in
     let on_result ~kind ~key:_ ~hit =
       let k =
         if kind = B.get then Metrics.Search
@@ -237,116 +176,46 @@ let run cfg mode =
     in
     let client = Store.client ~on_result store ~tid in
     let ttl () =
-      if sv_ttl_pct > 0 && Workload.Rng.int rng 100 < sv_ttl_pct then
-        Some sv_ttl_s
+      if cfg.sv_ttl_pct > 0 && Workload.Rng.int rng 100 < cfg.sv_ttl_pct then
+        Some cfg.sv_ttl_s
       else None
     in
-    while not (Atomic.get go) do
-      Domain.cpu_relax ()
-    done;
-    (try
-       (match mode with
-       | Per_op ->
-           while not (Atomic.get stop) do
-             let key = Workload.draw sampler rng in
-             (match
-                Workload.op_for rng
-                  (Array.unsafe_get mixes (Atomic.get phase_idx))
-              with
-             | Workload.Search -> ignore (Store.get client key)
-             | Workload.Insert -> ignore (Store.put ?ttl_s:(ttl ()) client key)
-             | Workload.Delete -> ignore (Store.delete client key));
-             Atomic.incr beat;
-             incr count
-           done
-       | Batched ->
-           (* Ops counted in [on_result] at delivery, not here. *)
-           while not (Atomic.get stop) do
-             let key = Workload.draw sampler rng in
-             (match
-                Workload.op_for rng
-                  (Array.unsafe_get mixes (Atomic.get phase_idx))
-              with
-             | Workload.Search -> Store.enqueue_get client key
-             | Workload.Insert -> Store.enqueue_put ?ttl_s:(ttl ()) client key
-             | Workload.Delete -> Store.enqueue_delete client key);
-             Atomic.incr beat
-           done;
-           (* Drain the tail so queued requests complete (outside the
-              measurement window; teardown, not measured work). *)
-           Store.flush client)
-     with Chaos.Crashed ->
-       (* Died mid-request, no end_op: the supervisor joins us, recovers
-          the tid's handle on every shard and respawns.  Queued requests
-          in this client are dropped. *)
-       Supervisor.notify_crashed sup ~tid);
-    ops_done.(tid) <- ops_done.(tid) + !count
+    let next_op () =
+      Workload.op_for rng (Array.unsafe_get mixes (Atomic.get phase))
+    in
+    fun () ->
+      match mode with
+      | Per_op ->
+          while not (Atomic.get stop) do
+            let key = Workload.draw sampler rng in
+            (match next_op () with
+            | Workload.Search -> ignore (Store.get client key)
+            | Workload.Insert -> ignore (Store.put ?ttl_s:(ttl ()) client key)
+            | Workload.Delete -> ignore (Store.delete client key));
+            Atomic.incr beat;
+            incr count
+          done
+      | Batched ->
+          (* Ops counted in [on_result] at delivery, not here. *)
+          while not (Atomic.get stop) do
+            let key = Workload.draw sampler rng in
+            (match next_op () with
+            | Workload.Search -> Store.enqueue_get client key
+            | Workload.Insert -> Store.enqueue_put ?ttl_s:(ttl ()) client key
+            | Workload.Delete -> Store.enqueue_delete client key);
+            Atomic.incr beat
+          done;
+          (* Drain the tail so queued requests complete (outside the
+             measurement window; teardown, not measured work). *)
+          Store.flush client
   in
-  let domains =
-    Array.init sv_threads (fun tid -> Some (Domain.spawn (worker tid)))
+  let o =
+    Soak.run ~sample_every:cfg.sv_sample_every ~schedule:sched
+      ~supervise:cfg.sv_supervise ~runnable target ~workers:cfg.sv_threads
+      ~duration:cfg.sv_duration body
   in
-  let join_tid ~tid =
-    match domains.(tid) with
-    | Some d ->
-        Domain.join d;
-        domains.(tid) <- None
-    | None -> ()
-  in
-  let respawn ~tid = domains.(tid) <- Some (Domain.spawn (worker tid)) in
-  let samples = ref [] in
-  let t0 = Unix.gettimeofday () in
-  let supervise_check ~final =
-    Supervisor.check sup
-      ~now:(Unix.gettimeofday () -. t0)
-      ~final ~engine
-      ~recover:(fun ~tid -> Store.recover store ~tid)
-      ~join:join_tid ~respawn
-  in
-  Atomic.set go true;
-  let rec sample_loop () =
-    let now = Unix.gettimeofday () in
-    if now -. t0 < sv_duration then begin
-      ignore (Unix.select [] [] [] sv_sample_every);
-      set_phase (Unix.gettimeofday () -. t0);
-      samples :=
-        {
-          Metrics.t = Unix.gettimeofday () -. t0;
-          unreclaimed = Store.unreclaimed store;
-        }
-        :: !samples;
-      supervise_check ~final:false;
-      (match oversub with Some o -> Oversub.tick o | None -> ());
-      sample_loop ()
-    end
-  in
-  sample_loop ();
-  Atomic.set stop true;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  (* Final supervision pass BEFORE engine shutdown: a crash between the
-     last sample and the stop flag still gets its handles recovered, and
-     Chaos.revive must target the engine that poisoned the tid. *)
-  supervise_check ~final:true;
-  (match oversub with Some o -> Oversub.release o | None -> ());
-  (match !eng with Some e -> Chaos.release_all e | None -> ());
-  Array.iter (function Some d -> Domain.join d | None -> ()) domains;
-  (match !eng with
-  | Some _ ->
-      Chaos.uninstall ();
-      eng := None
-  | None -> ());
-  (* Post-run reclamation flush: every tid's handles were either live or
-     recovered above, so the pass drains adopted limbos too. *)
-  for tid = 0 to sv_threads - 1 do
-    Store.quiesce store ~tid
-  done;
+  let elapsed = o.elapsed in
   let stats = Store.stats store in
-  let mem_series = List.rev !samples in
-  let max_unr =
-    List.fold_left
-      (fun acc (s : Metrics.mem_sample) -> max acc s.unreclaimed)
-      0 mem_series
-  in
-  let ops = Array.fold_left ( + ) 0 ops_done in
   let per_shard =
     Array.to_list
       (Array.mapi
@@ -359,16 +228,15 @@ let run cfg mode =
            })
          (Stats.per_shard stats))
   in
-  let recoveries = Supervisor.events sup in
+  let recoveries = o.recoveries in
   let post_quiesced = Store.unreclaimed store in
   let bound =
     if Store.robust store && Store.recoverable store then
-      Store.mem_bound store ~range:sv_range
-        ~adopted:(max sv_crash (List.length recoveries))
+      Store.mem_bound store ~range:cfg.sv_range
+        ~adopted:(max cfg.sv_crash (List.length recoveries))
         ~stalled:0 ()
     else None
   in
-  (* Verdicts. *)
   let missing_recovery =
     List.filter
       (fun tid ->
@@ -378,45 +246,39 @@ let run cfg mode =
              recoveries))
       victims
   in
-  let abandoned =
-    List.exists
-      (fun (e : Metrics.recovery_event) -> e.rv_action = "abandon")
-      recoveries
-  in
-  let over_bound =
-    match bound with Some b -> post_quiesced > b | None -> false
-  in
-  let invariants_ok =
-    try
-      Store.check_invariants store;
-      true
-    with _ -> false
-  in
   let verdict =
-    if missing_recovery <> [] then
-      Printf.sprintf "missing-recovery:%s"
-        (String.concat "," (List.map string_of_int missing_recovery))
-    else if abandoned then "abandoned"
-    else if over_bound then
-      Printf.sprintf "gauge-over-bound:%d>%d" post_quiesced
-        (Option.value bound ~default:0)
-    else if not invariants_ok then "invariants-failed"
-    else "ok"
+    Soak.verdict
+      [
+        Soak.check "uaf" (o.faults = 0) ~detail:(string_of_int o.faults);
+        Soak.check "missing-recovery" (missing_recovery = [])
+          ~detail:(String.concat "," (List.map string_of_int missing_recovery));
+        Soak.check "abandoned"
+          (not
+             (List.exists
+                (fun (e : Metrics.recovery_event) -> e.rv_action = "abandon")
+                recoveries));
+        (match bound with
+        | Some b ->
+            Soak.check "gauge-over-bound" (post_quiesced <= b)
+              ~detail:(Printf.sprintf "%d>%d" post_quiesced b)
+        | None -> Soak.check "gauge-over-bound" true);
+        Soak.check "invariants-failed" (invariants_hold store);
+      ]
   in
   {
     r_mode = mode;
-    r_ops = ops;
+    r_ops = o.ops;
     r_duration = elapsed;
-    r_throughput = float_of_int ops /. elapsed;
+    r_throughput = float_of_int o.ops /. elapsed;
     r_per_shard = per_shard;
     r_occupancy = Stats.occupancy stats;
     r_expired = Stats.expired_total stats;
-    r_mem_series = mem_series;
-    r_max_unreclaimed = max_unr;
+    r_mem_series = o.mem_series;
+    r_max_unreclaimed = o.max_unreclaimed;
     r_op_stats = Metrics.merge recorders;
-    r_crashes = sv_crash;
+    r_crashes = cfg.sv_crash;
     r_domains = runnable;
-    r_rotations = (match oversub with Some o -> Oversub.rotations o | None -> 0);
+    r_rotations = o.rotations;
     r_recoveries = recoveries;
     r_post_quiesced = post_quiesced;
     r_bound = bound;

@@ -1,6 +1,6 @@
 (** The [scotbench serve] soak: a timed service-tier run over a sharded
-    {!Store} with {!Harness.Supervisor} and {!Harness.Chaos} live,
-    mirroring {!Harness.Runner.run}'s protocol.
+    {!Store} on the {!Harness.Soak} engine, with its supervisor and chaos
+    engine live.
 
     Running the same {!cfg} in both {!mode}s measures what the batched
     dispatch buys: [Per_op] takes one SMR bracket per request, [Batched]
@@ -79,10 +79,20 @@ type result = {
   r_final_size : int;
   r_ok : bool;
   r_verdict : string;
-      (** ["ok"], or the first failed verdict: ["missing-recovery:..."],
+      (** ["ok"], or the first failed verdict: ["uaf:<n>"],
+          ["missing-recovery:..."],
           ["abandoned"], ["gauge-over-bound:..."],
           ["invariants-failed"] *)
 }
+
+val soak_target :
+  Store.t -> threads:int -> range:int -> seed:int -> Harness.Soak.target
+(** Prefill half of [range] through the shards, bypassing the stats so
+    they count served requests only, and wrap the store as a soak target
+    (recovery adopts the tid on every shard) over [threads] tids. *)
+
+val invariants_hold : Store.t -> bool
+(** {!Store.check_invariants}, as a verdict instead of an exception. *)
 
 val run : cfg -> mode -> result
 (** One soak.  Raises [Invalid_argument] when [sv_crash] is not in

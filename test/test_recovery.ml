@@ -195,9 +195,11 @@ let test_supervised_recovery (module S : Smr.Smr_intf.S) threads () =
       ~scheme:(module S : Smr.Smr_intf.S)
       ()
   in
+  (* Name every failed check with its numbers, not just the first. *)
   check
-    (Printf.sprintf "%s@%d: verdict '%s'" S.name threads
-       r.Harness.Experiments.rc_verdict)
+    (Printf.sprintf "%s@%d: failed checks [%s]" S.name threads
+       (String.concat "; "
+          (Harness.Soak.failures r.Harness.Experiments.rc_checks)))
     true r.Harness.Experiments.rc_ok;
   check (S.name ^ ": worker respawned") true
     (List.exists

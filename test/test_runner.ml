@@ -32,6 +32,22 @@ let test_throughput_denominator () =
 
 (* --- per-op metrics --- *)
 
+(* An out-of-range [domains] is rejected before the instance is built,
+   so [prepare] (which may spawn stall drivers) never runs. *)
+let test_domains_checked_first () =
+  List.iter
+    (fun domains ->
+      let prepared = ref false in
+      (match
+         Harness.Runner.run ~domains ~prepare:(fun _ -> prepared := true)
+           ~builder:hlist ~scheme:ebr ~threads:2 ~range:64 ~duration:0.05 ()
+       with
+      | _ -> Alcotest.failf "domains=%d accepted" domains
+      | exception Invalid_argument _ -> ());
+      check (Printf.sprintf "domains=%d: prepare not run" domains) false
+        !prepared)
+    [ 0; 3 ]
+
 let test_op_stats_cover_ops () =
   let r = short_run () in
   check_int "one entry per op kind" 3 (List.length r.op_stats);
@@ -299,6 +315,8 @@ let () =
             test_duration_tolerance;
           Alcotest.test_case "throughput denominator" `Quick
             test_throughput_denominator;
+          Alcotest.test_case "domains checked before prepare" `Quick
+            test_domains_checked_first;
         ] );
       ( "metrics",
         [
