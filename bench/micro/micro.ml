@@ -106,15 +106,23 @@ let retire_run (module S : Smr.Smr_intf.S) ~threads ~duration ~hold =
   let retirer tid =
     let th = S.register t ~tid in
     let mk = make_node pool in
+    (* Through the bracket, not raw [start_op]/[end_op]: a neutralizing
+       scheme (DBR) raises [Neutralized] at [start_op] when a reclaimer
+       aborted this lagging handle, and only the bracket restarts it. *)
+    let alloc_retire =
+      {
+        Smr.Smr_intf.op0 =
+          (fun _ ->
+            let node = NPool.alloc pool ~tid mk in
+            S.on_alloc th node.Node.hdr;
+            S.retire th node.Node.rc);
+      }
+    in
     let n = ref 0 in
     let continue = ref true in
     while !continue do
       for _ = 1 to 64 do
-        S.start_op th;
-        let node = NPool.alloc pool ~tid mk in
-        S.on_alloc th node.Node.hdr;
-        S.retire th node.Node.rc;
-        S.end_op th
+        S.with_op th alloc_retire
       done;
       n := !n + 64;
       if Atomic.get stop then continue := false

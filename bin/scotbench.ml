@@ -815,17 +815,16 @@ let pressure_cmd =
               Scotstore.Shard.backend_of_string backend
           in
           (* The verdict panel: robust schemes must degrade gracefully
-             and recover; EBR runs monitor-only because enforcement
-             would shed writes early and cap its own growth — the
-             negative control must be free to overflow. *)
+             and recover; EBR, not robust, runs monitor-only as the
+             negative control (the store derives enforcement from the
+             scheme). *)
           let panel =
-            if scheme = "" then
-              [ ("DBR", true); ("HYB", true); ("IBR", true); ("EBR", false) ]
+            if scheme = "" then [ "DBR"; "HYB"; "IBR"; "EBR" ]
             else
               let (module S : Smr.Smr_intf.S) =
                 lookup "pressure" "scheme" Smr.Registry.find scheme
               in
-              [ (S.name, S.capabilities.robust) ]
+              [ S.name ]
           in
           let shards = if smoke then 2 else shards in
           let workers = if smoke then 4 else workers in
@@ -842,7 +841,7 @@ let pressure_cmd =
              oversubscribed host the gauge carries OS-preemption noise:
              give the machines room to walk Degraded_all -> Healthy. *)
           let drain = if smoke then 0.5 else drain in
-          let run_one (name, enforce) =
+          let run_one name =
             let sm = Smr.Registry.find_exn name in
             (* DBR needs a wider neutralization window here: the parked
                extras sit at a read probe, so with the default
@@ -875,7 +874,6 @@ let pressure_cmd =
                 pv_config = config;
                 pv_budget = (if budget > 0 then Some budget else None);
                 pv_budget_div = budget_div;
-                pv_enforce = enforce;
                 pv_deadline_s = deadline;
                 pv_ttl_pct = ttl_pct;
                 pv_ttl_s = ttl_s;

@@ -29,7 +29,6 @@ type cfg = {
   pv_config : Smr.Smr_intf.config option;
   pv_budget : int option;  (* absolute per-shard budget *)
   pv_budget_div : int;  (* else ref bound (stalled:0) / div *)
-  pv_enforce : bool;  (* false = monitor-only negative control *)
   pv_deadline_s : float;
   pv_retry : Backoff.policy;
   pv_ttl_pct : int;  (* % of puts carrying a TTL *)
@@ -55,7 +54,6 @@ let default_cfg () =
     pv_config = None;
     pv_budget = None;
     pv_budget_div = 1;
-    pv_enforce = true;
     pv_deadline_s = 0.05;
     pv_retry = Backoff.default_policy;
     pv_ttl_pct = 25;
@@ -123,6 +121,10 @@ let run cfg =
       ~threads:(cfg.pv_workers + 1) ()
   in
   let stats = Store.stats store in
+  (* The store sheds only if the scheme is robust (see
+     [Store.arm_pressure]); the verdicts and the row follow the same
+     value. *)
+  let enforce = Store.robust store in
   (* Arm the pressure state machines.  The budget is the operator's
      knob, so it must NOT depend on the scheme under test (DBR's own
      ceiling carries huge neutralization-latency terms that would hand
@@ -199,9 +201,9 @@ let run cfg =
     let tid = w.tid and stop = w.stop in
     let rng = Workload.Rng.create ~seed:(cfg.pv_seed + (31 * (tid + 1))) in
     let sampler = Workload.sampler Workload.Uniform ~range:cfg.pv_range in
-    (* Deadlines, backoff and the store's own deadline check share the
-       monotonic clock. *)
-    let client = Store.client ~now:Clock.now store ~tid in
+    (* The client's default clock is [Clock.now], so the store's deadline
+       check and [Backoff] read the same monotonic time. *)
+    let client = Store.client store ~tid in
     fun () ->
       while not (Atomic.get stop) do
         let key = Workload.draw sampler rng in
@@ -213,36 +215,24 @@ let run cfg =
           then Some cfg.pv_ttl_s
           else None
         in
-        if cfg.pv_enforce then begin
-          let dl = Clock.now () +. cfg.pv_deadline_s in
-          let attempt () : unit Backoff.outcome =
-            match
-              if is_put then
-                Store.try_enqueue_put ?ttl_s ~deadline:dl client key
-              else Store.try_enqueue_delete ~deadline:dl client key
-            with
-            | `Queued -> `Done ()
-            | `Overload -> `Overload
-            | `Deadline_exceeded -> `Deadline_exceeded
-          in
+        let dl = Clock.now () +. cfg.pv_deadline_s in
+        let attempt () : unit Backoff.outcome =
           match
-            Backoff.run cfg.pv_retry ~rng ~now:Clock.now ~sleep:Unix.sleepf
-              ~deadline:dl
-              ~on_retry:(fun ~attempt:_ -> Stats.record_retry stats ~tid)
-              attempt
+            if is_put then Store.enqueue_put ?ttl_s ~deadline:dl client key
+            else Store.enqueue_delete ~deadline:dl client key
           with
-          | `Done () -> accepted.(tid) <- accepted.(tid) + 1
-          | `Overload -> gave_up.(tid) <- gave_up.(tid) + 1
-          | `Deadline_exceeded -> deadlined.(tid) <- deadlined.(tid) + 1
-        end
-        else begin
-          (* Monitor-only: bypass admission entirely (the legacy enqueue
-             path is never gated) — the negative control keeps writing
-             straight through Degraded. *)
-          (if is_put then Store.enqueue_put ?ttl_s client key
-           else Store.enqueue_delete client key);
-          accepted.(tid) <- accepted.(tid) + 1
-        end
+          | `Queued -> `Done ()
+          | (`Overload | `Deadline_exceeded) as refused -> refused
+        in
+        match
+          Backoff.run cfg.pv_retry ~rng ~now:Clock.now ~sleep:Unix.sleepf
+            ~deadline:dl
+            ~on_retry:(fun ~attempt:_ -> Stats.record_retry stats ~tid)
+            attempt
+        with
+        | `Done () -> accepted.(tid) <- accepted.(tid) + 1
+        | `Overload -> gave_up.(tid) <- gave_up.(tid) + 1
+        | `Deadline_exceeded -> deadlined.(tid) <- deadlined.(tid) + 1
       done;
       (* Drain the queued tail (teardown, not measured work). *)
       Store.flush client
@@ -372,7 +362,7 @@ let run cfg =
        :: Soak.check "invariants-failed" (Serve.invariants_hold store)
        :: Soak.check "no-extras-parked" (k > 0)
        ::
-       (if cfg.pv_enforce then
+       (if enforce then
           [
             Soak.check "no-degrade"
               (rank max_level >= rank Degraded_ttl)
@@ -396,7 +386,7 @@ let run cfg =
           ]))
   in
   {
-    r_enforce = cfg.pv_enforce;
+    r_enforce = enforce;
     r_parked = k;
     r_ops = Stats.total_ops stats;
     r_duration = elapsed;

@@ -11,13 +11,15 @@
     Worker roles are fixed: tids [0, readers) only read (never shed —
     their ramp-phase throughput against the clean baseline is the
     read-liveness verdict), tids [readers, domains) only write through
-    the typed admission front door with per-request deadlines and
-    {!Backoff} retries, and tids [domains, workers) read until parked.
+    the store's admission path ({!Store.enqueue_put} /
+    {!Store.enqueue_delete}) with per-request deadlines and {!Backoff}
+    retries, and tids [domains, workers) read until parked.
 
-    With [pv_enforce = false] the run is the {e negative control}:
-    pressure is observed but writers bypass admission, and the verdict
-    {e demands} the gauge exceed the reference robust ceiling (a
-    non-robust scheme proving the paper's motivating failure) while
+    Enforcement follows the scheme: the store is armed to shed writes
+    iff the scheme is robust.  A non-robust scheme (EBR) is the
+    {e negative control}: pressure is observed but every write is
+    admitted, and the verdict {e demands} the gauge exceed the
+    reference robust ceiling (the paper's motivating failure) while
     still draining to the no-stall ceiling once the stall clears. *)
 
 type cfg = {
@@ -42,7 +44,6 @@ type cfg = {
           of the scheme under test, so every panel member is held to the
           same operator envelope *)
   pv_budget_div : int;
-  pv_enforce : bool;  (** [false] = monitor-only negative control *)
   pv_deadline_s : float;  (** per-request write deadline *)
   pv_retry : Backoff.policy;
   pv_ttl_pct : int;  (** % of puts carrying a TTL *)
@@ -54,10 +55,10 @@ type cfg = {
 val default_cfg : unit -> cfg
 (** IBR over a hashmap, 2 shards, 6 workers on 4 domains (2 dedicated
     readers, 2 writers, 2 parking extras), 0.4/0.8/0.6 s phases,
-    budget = the IBR no-stall reference ceiling, enforcing. *)
+    budget = the IBR no-stall reference ceiling. *)
 
 type result = {
-  r_enforce : bool;
+  r_enforce : bool;  (** the store shed writes: the scheme is robust *)
   r_parked : int;  (** extras that actually parked during ramp *)
   r_ops : int;
   r_duration : float;

@@ -201,8 +201,9 @@ let run cfg mode =
             let key = Workload.draw sampler rng in
             (match next_op () with
             | Workload.Search -> Store.enqueue_get client key
-            | Workload.Insert -> Store.enqueue_put ?ttl_s:(ttl ()) client key
-            | Workload.Delete -> Store.enqueue_delete client key);
+            | Workload.Insert ->
+                ignore (Store.enqueue_put ?ttl_s:(ttl ()) client key)
+            | Workload.Delete -> ignore (Store.enqueue_delete client key));
             Atomic.incr beat
           done;
           (* Drain the tail so queued requests complete (outside the

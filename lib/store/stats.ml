@@ -98,13 +98,6 @@ let shed_total t = shed_ttl_total t + shed_write_total t
 let deadline_reject_total t = Array.fold_left ( + ) 0 t.deadline_rejects
 let retry_total t = Array.fold_left ( + ) 0 t.retries
 
-let shard_ops t ~shard =
-  let total = ref 0 in
-  for tid = 0 to t.threads - 1 do
-    total := !total + Memory.Padded.get t.ops (idx t ~shard ~tid)
-  done;
-  !total
-
 let per_shard t =
   Array.init t.shards (fun shard ->
       let ops = ref 0 and hits = ref 0 in

@@ -2,7 +2,7 @@
 
     Hot-path writes land on {!Memory.Padded} cells owned by one
     (shard, tid) pair, so recording is an uncontended atomic increment;
-    cross-cell reads ({!shard_ops}, {!per_shard}) are meant for the
+    cross-cell reads ({!queued_depth}, {!per_shard}) are meant for the
     coordinator's sample loop and the final report.  Occupancy histograms
     and expiry counts are owner-written and only merged after join. *)
 
@@ -51,9 +51,6 @@ val deadline_reject_total : t -> int
 val retry_total : t -> int
 (** Totals of the four overload counters; owner-written cells, read
     after the owning workers have quiesced. *)
-
-val shard_ops : t -> shard:int -> int
-(** Live total requests completed against a shard (sums per-tid cells). *)
 
 val per_shard : t -> (int * int) array
 (** Per shard: (ops, hits).  Misses are [ops - hits]. *)

@@ -35,6 +35,7 @@ type t = {
       (* one state machine per shard once armed; [None] (the default)
          keeps every legacy path byte-identical — the level reads below
          constant-fold to [Healthy] *)
+  mutable shed : bool;  (* armed and robust (see [arm_pressure]) *)
 }
 
 type client = {
@@ -66,6 +67,7 @@ let create ?config ?buckets ?(batch_capacity = 64) ~backend ~scheme ~shards
     batch_capacity;
     stats = Stats.create ~shards ~threads ~batch_capacity;
     pressure = None;
+    shed = false;
   }
 
 let client ?now ?on_result t ~tid =
@@ -81,7 +83,7 @@ let client ?now ?on_result t ~tid =
     pending_ttls = Hashtbl.create 16;
     expiry = Queue.create ();
     ops_since_sweep = 0;
-    now = (match now with Some f -> f | None -> Unix.gettimeofday);
+    now = (match now with Some f -> f | None -> Harness.Clock.now);
     on_result;
   }
 
@@ -98,12 +100,21 @@ let shard_level t s =
   | None -> Pressure.Healthy
   | Some arr -> Pressure.level arr.(s)
 
+let robust t =
+  Array.for_all
+    (fun sh -> sh.Shard.capabilities.Smr.Smr_intf.robust)
+    t.shard_arr
+
+(* Shedding follows the scheme: a robust one bounds its limbo, so
+   refusing writes lets it drain; a non-robust one (EBR, NR) is the
+   negative control and must stay free to overflow. *)
 let arm_pressure t configs =
   if Array.length configs <> Array.length t.shard_arr then
     invalid_arg
       (Printf.sprintf "Store.arm_pressure: %d configs for %d shards"
          (Array.length configs) (Array.length t.shard_arr));
-  t.pressure <- Some (Array.map Pressure.create configs)
+  t.pressure <- Some (Array.map Pressure.create configs);
+  t.shed <- robust t
 
 let pressure t s =
   match t.pressure with None -> None | Some arr -> Some arr.(s)
@@ -272,8 +283,7 @@ let flush_shard c s =
 (* The table lookups are guarded by O(1) emptiness checks so a client
    that never uses TTLs pays two field loads per queued write, not two
    hash probes. *)
-let enqueue c ~kind ?ttl_s key =
-  let s = route c key in
+let enqueue c s ~kind ?ttl_s key =
   if kind = B.put then begin
     (* Clear any current deadline either way — the queued put resets the
        key's TTL state at dispatch — and stage the new TTL (validated
@@ -308,9 +318,7 @@ let enqueue c ~kind ?ttl_s key =
   if B.length buf >= cap then flush_shard c s;
   maybe_sweep c
 
-let enqueue_get c key = enqueue c ~kind:B.get key
-let enqueue_put ?ttl_s c key = enqueue c ~kind:B.put ?ttl_s key
-let enqueue_delete c key = enqueue c ~kind:B.del key
+let enqueue_get c key = enqueue c (route c key) ~kind:B.get key
 
 let flush c =
   Batch.iter_nonempty c.batch (fun s _ -> flush_shard c s);
@@ -347,23 +355,24 @@ let get_many c keys =
   if not (Queue.is_empty c.expiry) then ignore (sweep_expired c);
   out
 
-(* {2 Typed admission: deadlines and overload shedding}
+(* {2 Admission: deadlines and overload shedding on deferred writes}
 
-   The [try_*] variants are the overload-aware front door.  Admission is
-   two cheap checks before any structure work:
+   [enqueue_put]/[enqueue_delete] are the store's one gated path.
+   Admission is two cheap checks before the write is queued:
 
    - deadline: a request whose absolute deadline (client clock) already
      passed is refused with [`Deadline_exceeded] — the caller's budget is
      spent, doing the work anyway only adds queue time for everyone
      behind it;
-   - shedding: writes against a shard at [Degraded_ttl] lose their
-     TTL-carrying requests (cache fills — the load a degraded shard can
-     shed with the least damage), at [Degraded_all] every write, both
-     with [`Overload].  Reads are never shed: keeping reads live is the
-     entire point of shedding writes.
+   - shedding, on an armed store of a robust scheme: writes against a
+     shard at [Degraded_ttl] lose their TTL-carrying requests (cache
+     fills — the load a degraded shard can shed with the least damage),
+     at [Degraded_all] every write, both with [`Overload].  Reads are
+     never shed: keeping reads live is the entire point of shedding
+     writes.
 
-   The legacy API above stays un-gated — existing callers and tests see
-   identical behaviour, and a disarmed store admits everything. *)
+   The immediate path above stays un-gated, and a disarmed store (or
+   an armed one of a non-robust scheme) admits every write. *)
 
 let[@inline] deadline_passed c deadline =
   match deadline with
@@ -393,6 +402,8 @@ let shed_housekeeping c s =
 (* [ttl] marks a TTL-carrying put; plain puts and deletes shed one stage
    later. *)
 let write_shed c s ~ttl =
+  c.store.shed
+  &&
   match shard_level c.store s with
   | Pressure.Healthy | Pressure.Pressured -> false
   | Pressure.Degraded_ttl ->
@@ -407,49 +418,25 @@ let write_shed c s ~ttl =
       shed_housekeeping c s;
       true
 
-let try_put ?ttl_s ?deadline c key =
-  if deadline_passed c deadline then `Deadline_exceeded
-  else
-    let s = route c key in
-    if write_shed c s ~ttl:(Option.is_some ttl_s) then `Overload
-    else `Done (put ?ttl_s c key)
-
-let try_delete ?deadline c key =
-  if deadline_passed c deadline then `Deadline_exceeded
-  else
-    let s = route c key in
-    if write_shed c s ~ttl:false then `Overload else `Done (delete c key)
-
-let try_enqueue_put ?ttl_s ?deadline c key =
+let admit c ~kind ?ttl_s ?deadline key =
   if deadline_passed c deadline then `Deadline_exceeded
   else
     let s = route c key in
     if write_shed c s ~ttl:(Option.is_some ttl_s) then `Overload
     else begin
-      enqueue c ~kind:B.put ?ttl_s key;
+      enqueue c s ~kind ?ttl_s key;
       `Queued
     end
 
-let try_enqueue_delete ?deadline c key =
-  if deadline_passed c deadline then `Deadline_exceeded
-  else
-    let s = route c key in
-    if write_shed c s ~ttl:false then `Overload
-    else begin
-      enqueue c ~kind:B.del key;
-      `Queued
-    end
+let enqueue_put ?ttl_s ?deadline c key =
+  admit c ~kind:B.put ?ttl_s ?deadline key
 
-let try_get_many ?deadline c keys =
-  if deadline_passed c deadline then `Deadline_exceeded
-  else `Ok (get_many c keys)
+let enqueue_delete ?deadline c key = admit c ~kind:B.del ?deadline key
 
 (* {2 Store-wide observers and maintenance} *)
 
 let shards t = Array.length t.shard_arr
 let shard_of t key = Router.shard_of t.router key
-let threads t = t.threads
-let batch_capacity t = t.batch_capacity
 let stats t = t.stats
 let shard t i = t.shard_arr.(i)
 
@@ -469,11 +456,6 @@ let recover t ~tid = Array.iter (fun sh -> sh.Shard.recover ~tid) t.shard_arr
 let recoverable t =
   Array.for_all
     (fun sh -> sh.Shard.capabilities.Smr.Smr_intf.recoverable)
-    t.shard_arr
-
-let robust t =
-  Array.for_all
-    (fun sh -> sh.Shard.capabilities.Smr.Smr_intf.robust)
     t.shard_arr
 
 let mem_bound t ~range ?adopted ~stalled () =

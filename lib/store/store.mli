@@ -6,12 +6,14 @@
     uses either:
 
     - the {e immediate} path ({!get} / {!put} / {!delete}): one SMR
-      bracket per operation — the baseline;
+      bracket per operation, never gated — the baseline;
     - the {e deferred} path ({!enqueue_get} / {!enqueue_put} /
       {!enqueue_delete} / {!get_many} / {!flush}): requests are grouped
       by destination shard and each group executes under a {e single}
       [start_op]/[end_op] bracket, amortising bracket entry (reservation
-      publish, fences, Hyaline batch/era work) across the group.
+      publish, fences, Hyaline batch/era work) across the group.  Its
+      writes are the store's one admission path (deadlines and overload
+      shedding, see {!enqueue_put}).
 
     Deferred requests complete at flush time (capacity reached, explicit
     {!flush}, or {!get_many}); their results are delivered through the
@@ -53,10 +55,10 @@ val client :
   t ->
   tid:int ->
   client
-(** [now] (default [Unix.gettimeofday]) is the TTL clock — injectable
-    for tests.  [on_result] fires once per {e completed} request, on
-    both paths (immediately for {!get}/{!put}/{!delete}, at flush for
-    deferred requests); [kind] is a {!Scot.Batch_op} op code. *)
+(** [now] (default {!Harness.Clock.now}) is the TTL and deadline clock
+    — injectable for tests.  [on_result] fires once per {e completed}
+    request, on both paths (immediately for {!get}/{!put}/{!delete}, at
+    flush for deferred requests); [kind] is a {!Scot.Batch_op} op code. *)
 
 (** {2 Immediate path — one bracket per op} *)
 
@@ -67,8 +69,40 @@ val delete : client -> int -> bool
 (** {2 Deferred path — one bracket per shard group} *)
 
 val enqueue_get : client -> int -> unit
-val enqueue_put : ?ttl_s:float -> client -> int -> unit
-val enqueue_delete : client -> int -> unit
+
+val enqueue_put :
+  ?ttl_s:float ->
+  ?deadline:float ->
+  client ->
+  int ->
+  [ `Queued | `Overload | `Deadline_exceeded ]
+(** Admit a write into its shard's group.  Two checks run first:
+
+    - [deadline] is absolute, on the client's clock: once it has passed
+      the write is refused with [`Deadline_exceeded] (counted in
+      {!Stats});
+    - on an armed store of a robust scheme (see {!arm_pressure}) the
+      destination shard's {!Pressure.level} sheds writes with
+      [`Overload]: [Degraded_ttl] sheds TTL-carrying puts,
+      [Degraded_all] every write.  Reads are {e never} shed; keeping
+      reads live is what the write shedding buys.  [`Overload] is
+      retryable — pair with {!Backoff.run}.
+
+    A shed is not a pure refusal: the client first flushes whatever it
+    had already queued against the refusing shard (that dispatch runs a
+    synchronous sweep at [Pressured] or worse) or sweeps its handle's
+    limbo directly.  Handles are single-owner, so only the client itself
+    can reclaim what it retired — without this housekeeping a store
+    where every shard reaches [Degraded_all] would deadlock: all writes
+    shed, so no dispatches, so no retire-path reclamation, so the gauge
+    never falls back below the exit threshold. *)
+
+val enqueue_delete :
+  ?deadline:float ->
+  client ->
+  int ->
+  [ `Queued | `Overload | `Deadline_exceeded ]
+(** As {!enqueue_put}; a delete sheds only at [Degraded_all]. *)
 
 val flush : client -> unit
 (** Dispatch every non-empty shard group (one bracket each), then run a
@@ -89,62 +123,6 @@ val get_many : client -> int array -> bool array
     {!Scot.Hashmap.apply_batch}).  Ends with a TTL sweep like
     {!flush}. *)
 
-(** {2 Typed admission — the overload-aware front door}
-
-    The [try_*] variants add two checks before any structure work: an
-    absolute per-request [deadline] on the client's clock (already
-    passed -> [`Deadline_exceeded], counted in {!Stats}), and write
-    shedding by the destination shard's {!Pressure.level} —
-    [Degraded_ttl] sheds TTL-carrying puts, [Degraded_all] sheds every
-    write, both as [`Overload].  Reads are {e never} shed; keeping reads
-    live is what the write shedding buys.  [`Overload] is retryable —
-    pair with {!Backoff.run}.
-
-    A shed is not a pure refusal: the client first flushes whatever it
-    had already queued against the refusing shard (that dispatch runs a
-    synchronous sweep at [Pressured] or worse) or sweeps its handle's
-    limbo directly.  Handles are single-owner, so only the client itself
-    can reclaim what it retired — without this housekeeping a store
-    where every shard reaches [Degraded_all] would deadlock: all writes
-    shed, so no dispatches, so no retire-path reclamation, so the gauge
-    never falls back below the exit threshold.  On a store where {!arm_pressure} was
-    never called every level is [Healthy] and only the deadline check
-    remains; the legacy API above is never gated at all. *)
-
-val try_put :
-  ?ttl_s:float ->
-  ?deadline:float ->
-  client ->
-  int ->
-  [ `Done of bool | `Overload | `Deadline_exceeded ]
-
-val try_delete :
-  ?deadline:float ->
-  client ->
-  int ->
-  [ `Done of bool | `Overload | `Deadline_exceeded ]
-
-val try_enqueue_put :
-  ?ttl_s:float ->
-  ?deadline:float ->
-  client ->
-  int ->
-  [ `Queued | `Overload | `Deadline_exceeded ]
-
-val try_enqueue_delete :
-  ?deadline:float ->
-  client ->
-  int ->
-  [ `Queued | `Overload | `Deadline_exceeded ]
-
-val try_get_many :
-  ?deadline:float ->
-  client ->
-  int array ->
-  [ `Ok of bool array | `Deadline_exceeded ]
-(** Reads are admitted at every pressure level; only the deadline can
-    refuse them. *)
-
 val sweep_expired : ?now:float -> client -> int
 (** Evict every expired key this client owns a deadline for; returns the
     eviction count.  Runs automatically on {!flush} and every 64
@@ -158,8 +136,6 @@ val shards : t -> int
 val shard_of : t -> int -> int
 (** Destination shard for a key (the router's choice). *)
 
-val threads : t -> int
-val batch_capacity : t -> int
 val stats : t -> Stats.t
 val shard : t -> int -> Shard.t
 val size : t -> int
@@ -193,12 +169,17 @@ val ref_mem_bound : t -> range:int -> ?adopted:int -> stalled:int -> unit -> int
     cadence.  While a shard is [Pressured] or worse, its dispatches are
     followed by a synchronous sweep, its effective batch capacity is
     halved, and its SMR tuners are clamped via
-    {!Shard.t.set_pressure}; [Degraded_*] additionally sheds writes on
-    the [try_*] path (see above). *)
+    {!Shard.t.set_pressure}; if the store is {!robust},
+    [Degraded_*] additionally sheds deferred writes (see
+    {!enqueue_put}). *)
 
 val arm_pressure : t -> Pressure.config array -> unit
 (** One config per shard ([Invalid_argument] on length mismatch);
-    callers typically derive budgets from {!ref_mem_bound}. *)
+    callers typically derive budgets from {!ref_mem_bound}.  Shedding
+    follows {!robust}: a non-robust store (EBR, NR — the negative
+    control) is monitor-only.  It still walks the levels, records its
+    transitions and applies the [Pressured] mitigations, but admits
+    every write. *)
 
 val observe_pressure : ?sweep_tid:int -> t -> now:float -> Pressure.level
 (** Feed every shard's gauge and queued-write backlog into its state

@@ -1,8 +1,8 @@
 (* Overload machinery tests: the Pressure state machine (immediate
    ascent, hysteretic margin-gated descent), Backoff's pure delay
    schedule and retry driver, the supervisor's respawn backoff, and the
-   store's typed admission path (deadline rejection and level-driven
-   write shedding) under an injected clock. *)
+   store's admission path on deferred writes (deadline rejection and
+   level-driven write shedding) under an injected clock. *)
 
 module Pressure = Scotstore.Pressure
 module Backoff = Scotstore.Backoff
@@ -211,28 +211,32 @@ let test_respawn_delay () =
 
 let hln = Smr.Registry.find_exn "HLN"
 
-let mk_store ?(shards = 1) () =
-  Store.create ~buckets:8 ~backend:Shard.Hashmap ~scheme:hln ~shards
-    ~threads:1 ()
+let mk_store ?(scheme = hln) ?(shards = 1) () =
+  Store.create ~buckets:8 ~backend:Shard.Hashmap ~scheme ~shards ~threads:1 ()
 
 let test_admission_disarmed () =
   let store = mk_store () in
   let clock = ref 100.0 in
   let c = Store.client ~now:(fun () -> !clock) store ~tid:0 in
   (* No pressure armed: every level is Healthy, writes always admitted. *)
-  check "put admitted" true (Store.try_put c 1 = `Done true);
-  check "ttl put admitted" true (Store.try_put ~ttl_s:5.0 c 2 = `Done true);
-  check "delete admitted" true (Store.try_delete c 1 = `Done true);
+  check "put admitted" true (Store.enqueue_put c 1 = `Queued);
+  check "ttl put admitted" true (Store.enqueue_put ~ttl_s:5.0 c 2 = `Queued);
+  check "delete admitted" true (Store.enqueue_delete c 1 = `Queued);
   (* The deadline gate still applies, on the client's injected clock. *)
   check "future deadline admits" true
-    (Store.try_put ~deadline:101.0 c 3 = `Done true);
+    (Store.enqueue_put ~deadline:101.0 c 3 = `Queued);
   check "past deadline refuses" true
-    (Store.try_put ~deadline:99.0 c 4 = `Deadline_exceeded);
-  check "reads refuse past deadlines too" true
-    (Store.try_get_many ~deadline:99.0 c [| 1 |] = `Deadline_exceeded);
+    (Store.enqueue_put ~deadline:99.0 c 4 = `Deadline_exceeded);
+  check "deletes refuse past deadlines too" true
+    (Store.enqueue_delete ~deadline:99.0 c 2 = `Deadline_exceeded);
   check_int "deadline rejections counted" 2
     (Stats.deadline_reject_total (Store.stats store));
   check_int "nothing shed" 0 (Stats.shed_total (Store.stats store));
+  (* Refused writes never reach the structure. *)
+  Alcotest.(check (array bool))
+    "admitted writes landed, refused ones did not"
+    [| false; true; true; false |]
+    (Store.get_many c [| 1; 2; 3; 4 |]);
   Store.teardown store
 
 (* Drive a real shard gauge up (deletes park retired nodes in limbo),
@@ -264,39 +268,68 @@ let test_admission_sheds_ttl_writes () =
   let c, _ = pressurize store ~enter_degraded:0.8 ~enter_shed_all:2.0 in
   Alcotest.check level "shard degraded-ttl" Pressure.Degraded_ttl
     (Store.shard_level store 0);
-  check "ttl put shed" true (Store.try_put ~ttl_s:5.0 c 100 = `Overload);
-  check "durable put still flows" true (Store.try_put c 101 = `Done true);
-  check "deferred ttl put shed" true
-    (Store.try_enqueue_put ~ttl_s:5.0 c 102 = `Overload);
-  check "deferred durable put flows" true
-    (Store.try_enqueue_put c 103 = `Queued);
-  check "reads flow" true (Store.try_get_many c [| 101 |] <> `Deadline_exceeded);
+  check "ttl put shed" true (Store.enqueue_put ~ttl_s:5.0 c 100 = `Overload);
+  check "durable put flows" true (Store.enqueue_put c 101 = `Queued);
+  check "delete flows" true (Store.enqueue_delete c 102 = `Queued);
+  check "reads flow" true (Store.get_many c [| 101 |] = [| true |]);
   let st = Store.stats store in
-  check_int "ttl sheds counted" 2 (Stats.shed_ttl_total st);
+  check_int "ttl sheds counted" 1 (Stats.shed_ttl_total st);
   check_int "no blanket sheds" 0 (Stats.shed_write_total st);
   Store.teardown store
 
 let test_admission_sheds_all_writes () =
   let store = mk_store () in
   (* ratio 1.0 >= 0.9: Degraded_all. *)
-  let c, _ = pressurize store ~enter_degraded:0.8 ~enter_shed_all:0.9 in
+  let c, clock = pressurize store ~enter_degraded:0.8 ~enter_shed_all:0.9 in
   Alcotest.check level "shard degraded-all" Pressure.Degraded_all
     (Store.shard_level store 0);
-  check "durable put shed" true (Store.try_put c 100 = `Overload);
-  check "delete shed" true (Store.try_delete c 0 = `Overload);
-  check "deferred delete shed" true (Store.try_enqueue_delete c 0 = `Overload);
-  (* Reads are never shed — that is what the write shedding buys. *)
-  (match Store.try_get_many c [| 0; 1 |] with
-  | `Ok _ -> ()
-  | `Deadline_exceeded -> Alcotest.fail "read was refused under shed-all");
-  let st = Store.stats store in
-  check "blanket sheds counted" true (Stats.shed_write_total st >= 3);
+  check "durable put shed" true (Store.enqueue_put c 100 = `Overload);
   (* The shed path pays for its own garbage (handles are single-owner):
-     each refusal swept the client's limbo, so the gauge has already
+     the refusal swept the client's limbo, so the gauge has already
      fallen and the machine can descend on later observations — the
      deadlock guard behind [Degraded_all]. *)
   check "shed housekeeping drained the refusing client's limbo" true
     (Store.unreclaimed store = 0);
+  check "ttl put shed" true (Store.enqueue_put ~ttl_s:5.0 c 101 = `Overload);
+  check "delete shed" true (Store.enqueue_delete c 0 = `Overload);
+  (* The deadline is checked first: a late write is not an overload. *)
+  clock := 10.0;
+  check "late write is refused by its deadline" true
+    (Store.enqueue_put ~deadline:5.0 c 102 = `Deadline_exceeded);
+  (* Reads are never shed — that is what the write shedding buys. *)
+  check "reads flow under shed-all" true
+    (Store.get_many c [| 0; 1 |] = [| false; false |]);
+  let st = Store.stats store in
+  check_int "blanket sheds counted" 2 (Stats.shed_write_total st);
+  check_int "ttl put counted as a ttl shed" 1 (Stats.shed_ttl_total st);
+  check_int "deadline rejection counted" 1 (Stats.deadline_reject_total st);
+  check_int "nothing was queued" 0 (Store.pending c);
+  Store.teardown store
+
+(* The negative control's contract: an armed store of a non-robust
+   scheme (NR never reclaims, so the churn's gauge stays put) walks the
+   same levels and records its transitions, but admits every write. *)
+let test_admission_shedding_off () =
+  let store = mk_store ~scheme:(Smr.Registry.find_exn "NR") () in
+  check "NR store is not robust" false (Store.robust store);
+  let c, _ = pressurize store ~enter_degraded:0.8 ~enter_shed_all:0.9 in
+  Alcotest.check level "shard degraded-all" Pressure.Degraded_all
+    (Store.shard_level store 0);
+  check "ttl put admitted" true (Store.enqueue_put ~ttl_s:5.0 c 100 = `Queued);
+  check "put admitted" true (Store.enqueue_put c 101 = `Queued);
+  check "delete admitted" true (Store.enqueue_delete c 100 = `Queued);
+  check_int "nothing shed" 0 (Stats.shed_total (Store.stats store));
+  Alcotest.(check (array bool))
+    "admitted writes landed" [| false; true |]
+    (Store.get_many c [| 100; 101 |]);
+  (match Store.pressure store 0 with
+  | Some p -> (
+      match List.rev (Pressure.transitions p) with
+      | last :: _ ->
+          Alcotest.check level "transition into degraded-all recorded"
+            Pressure.Degraded_all last.Pressure.tr_to
+      | [] -> Alcotest.fail "no transition recorded")
+  | None -> Alcotest.fail "store not armed");
   Store.teardown store
 
 let test_admission_legacy_path_ungated () =
@@ -304,10 +337,11 @@ let test_admission_legacy_path_ungated () =
   let c, _ = pressurize store ~enter_degraded:0.8 ~enter_shed_all:0.9 in
   Alcotest.check level "shard degraded-all" Pressure.Degraded_all
     (Store.shard_level store 0);
-  (* The untyped API predates admission and must stay ungated. *)
-  check "legacy put flows" true (Store.put c 200);
-  check "legacy get flows" true (Store.get c 200);
-  check "legacy delete flows" true (Store.delete c 200);
+  (* The immediate path is the one-bracket-per-op baseline and stays
+     ungated. *)
+  check "immediate put flows" true (Store.put c 200);
+  check "immediate get flows" true (Store.get c 200);
+  check "immediate delete flows" true (Store.delete c 200);
   Store.teardown store
 
 let () =
@@ -340,6 +374,8 @@ let () =
             test_admission_sheds_ttl_writes;
           Alcotest.test_case "degraded-all sheds every write" `Quick
             test_admission_sheds_all_writes;
+          Alcotest.test_case "shedding off admits every write" `Quick
+            test_admission_shedding_off;
           Alcotest.test_case "legacy path stays ungated" `Quick
             test_admission_legacy_path_ungated;
         ] );

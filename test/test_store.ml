@@ -20,6 +20,11 @@ let mk_store ?(backend = Shard.Hashmap) ?(scheme = hln) ?(shards = 4)
     ?(threads = 1) ?batch_capacity () =
   Store.create ?batch_capacity ~buckets:8 ~backend ~scheme ~shards ~threads ()
 
+(* A disarmed store admits every deferred write that carries no deadline. *)
+let queued = function
+  | `Queued -> ()
+  | `Overload | `Deadline_exceeded -> Alcotest.fail "deferred write refused"
+
 (* --- router --- *)
 
 let test_router_deterministic_and_in_range () =
@@ -72,8 +77,8 @@ let replay ops ~batched =
     (fun (kind, key) ->
       if batched then
         if kind = B.get then Store.enqueue_get c key
-        else if kind = B.put then Store.enqueue_put c key
-        else Store.enqueue_delete c key
+        else if kind = B.put then queued (Store.enqueue_put c key)
+        else queued (Store.enqueue_delete c key)
       else if kind = B.get then ignore (Store.get c key)
       else if kind = B.put then ignore (Store.put c key)
       else ignore (Store.delete c key))
@@ -123,7 +128,8 @@ let test_get_many () =
   let store = mk_store () in
   let c = Store.client store ~tid:0 in
   ignore (Store.put c 1);
-  Store.enqueue_put c 3 (* still pending: get_many must flush it first *);
+  (* Still pending: get_many must flush it first. *)
+  queued (Store.enqueue_put c 3);
   let r = Store.get_many c [| 0; 1; 2; 3; 1 |] in
   Alcotest.(check (array bool)) "membership in input order"
     [| false; true; false; true; true |]
@@ -172,7 +178,7 @@ let test_ttl_deferred_put_expires_from_dispatch () =
   let t = ref 0.0 in
   let store = mk_store () in
   let c = Store.client ~now:(fun () -> !t) store ~tid:0 in
-  Store.enqueue_put ~ttl_s:1.0 c 5;
+  queued (Store.enqueue_put ~ttl_s:1.0 c 5);
   t := 2.0;
   check_int "no eviction while the put is queued" 0 (Store.sweep_expired c);
   Store.flush c (* dispatch at t=2: deadline becomes 3.0 *);
@@ -190,7 +196,7 @@ let test_ttl_pending_reput_shields_key_from_sweep () =
   let c = Store.client ~now:(fun () -> !t) store ~tid:0 in
   ignore (Store.put ~ttl_s:1.0 c 5);
   t := 0.5;
-  Store.enqueue_put ~ttl_s:5.0 c 5 (* queued re-put clears the book *);
+  queued (Store.enqueue_put ~ttl_s:5.0 c 5) (* queued re-put clears the book *);
   t := 2.0;
   check_int "old deadline cannot evict a key with a pending re-put" 0
     (Store.sweep_expired c);
