@@ -761,14 +761,8 @@ let pressure_cmd =
       value & opt int 0
       & info [ "budget" ] ~docv:"N"
           ~doc:
-            "Absolute per-shard pressure budget in nodes (0 = reference \
-             ceiling / --budget-div).")
-  in
-  let budget_div =
-    Arg.(
-      value & opt int 1
-      & info [ "budget-div" ] ~docv:"D"
-          ~doc:"Divisor deriving the default budget from the no-stall bound.")
+            "Absolute per-shard pressure budget in nodes (0 = one \
+             thread's share of the reference no-stall ceiling).")
   in
   let deadline =
     Arg.(
@@ -807,7 +801,7 @@ let pressure_cmd =
      from the non-robust negative control"
     Term.(
       const (fun cfg json smoke backend scheme shards workers domains readers
-                range budget budget_div deadline clean ramp drain ttl_pct
+                range budget deadline clean ramp drain ttl_pct
                 ttl_s ->
           preflight_json json;
           let backend =
@@ -873,7 +867,6 @@ let pressure_cmd =
                 pv_drain_s = drain;
                 pv_config = config;
                 pv_budget = (if budget > 0 then Some budget else None);
-                pv_budget_div = budget_div;
                 pv_deadline_s = deadline;
                 pv_ttl_pct = ttl_pct;
                 pv_ttl_s = ttl_s;
@@ -909,7 +902,7 @@ let pressure_cmd =
       $ cfg_term $ json_arg $ smoke $ backend $ scheme $ shards $ workers
       $ domains $ readers
       $ range_arg ~default:2048
-      $ budget $ budget_div $ deadline $ clean $ ramp $ drain $ ttl_pct
+      $ budget $ deadline $ clean $ ramp $ drain $ ttl_pct
       $ ttl_s)
 
 let fig_skiplist_cmd =

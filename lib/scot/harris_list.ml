@@ -90,18 +90,19 @@ module Make (S : Smr.Smr_intf.S) = struct
       recovery;
     }
 
-  let handle t ~tid =
-    let s = S.register t.smr ~tid in
+  let handle_on t s =
     {
       t;
       s;
-      tid;
+      tid = S.tid s;
       rdr = S.reader s N.desc;
       prev = t.head;
       expected = N.null_link;
       pos_curr = t.tail;
       pos_next = N.null_link;
     }
+
+  let handle t ~tid = handle_on t (S.register t.smr ~tid)
 
   let node_of (l : N.link) =
     match l.ln with Some n -> n | None -> assert false (* tail is a barrier *)
@@ -416,11 +417,6 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let range_mem h ~lo ~hi =
     if lo > hi then [] else S.with_op3 h.s range_body h lo hi
-
-  (* Batch composition entry point (see the interface comment): enter one
-     bracket on this handle's registration and hand its token to a body
-     that dispatches to the exported op bodies above. *)
-  let with_op2 h body a b = S.with_op2 h.s body a b
 
   (* Force the scheme's reclamation machinery; for shutdown and tests. *)
   let quiesce h = S.flush h.s

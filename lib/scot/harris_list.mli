@@ -34,7 +34,14 @@ module Make (S : Smr.Smr_intf.S) : sig
       node pool reuse reclaimed nodes (making ABA/use-after-free real). *)
 
   val handle : t -> tid:int -> handle
-  (** Register thread [tid] (0-based, < [threads]) and return its handle. *)
+  (** Register thread [tid] (0-based, < [threads]) and return its handle:
+      [handle_on t (S.register smr ~tid)]. *)
+
+  val handle_on : t -> S.th -> handle
+  (** A handle on an existing registration, so several lists can share
+      one per-thread limbo and one set of hazard slots (the hash map's
+      buckets).  Precondition: the registration was made on the same SMR
+      instance the list was created with. *)
 
   val insert : handle -> int -> bool
   (** [insert h k] adds [k]; [false] if already present.  Lock-free. *)
@@ -73,18 +80,13 @@ module Make (S : Smr.Smr_intf.S) : sig
       (the hash map's [apply_batch], the store tier's batch dispatch)
       execute a whole group of operations under a single
       [start_op]/[end_op], paying one reservation publish per group
-      instead of per op.  Rules: enter the bracket through {!with_op2} on
-      a handle of the same thread id and SMR instance as every handle the
-      body touches (bucket handles of one hash-map handle satisfy this by
-      construction — per-tid reservation cells are physically shared
-      across registrations), and run the bodies sequentially: element
-      [i+1] reuses the hazard slots of element [i], exactly as two
-      back-to-back brackets would.  Holding the bracket across the group
-      delays era/epoch release until the group ends — the deliberate
-      batching trade-off (memory held slightly longer for fewer publishes). *)
-
-  val with_op2 : handle -> ('a, 'b, 'r) Smr.Smr_intf.op2 -> 'a -> 'b -> 'r
-  (** Enter one branded bracket on this handle's registration. *)
+      instead of per op.  Rules: enter the bracket on the registration
+      every handle the body touches was built on ({!handle_on}), and run
+      the bodies sequentially: element [i+1] reuses the hazard slots of
+      element [i], exactly as two back-to-back brackets would.  Holding
+      the bracket across the group delays era/epoch release until the
+      group ends — the deliberate batching trade-off (memory held
+      slightly longer for fewer publishes). *)
 
   val search_body : (handle, int, bool) Smr.Smr_intf.op2
 

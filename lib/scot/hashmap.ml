@@ -1,9 +1,12 @@
 (* Lock-free hash set: an array of SCOT Harris lists (§2.3, §6.2 — "hash
    maps are simply arrays of Harris' or Harris-Michael lists").
 
-   All buckets share one SMR instance (one set of hazard slots per thread
-   suffices because a thread runs one bucket operation at a time), while
-   each bucket list owns its node pool.  Since the buckets are Harris lists
+   All buckets share one SMR instance and a thread registers on it once:
+   every bucket handle of a map handle is built on that one registration
+   (one limbo, one set of hazard slots — a thread runs one bucket
+   operation at a time), so the map's unreclaimed memory is bounded like
+   one list's, whatever the bucket count.  Each bucket list owns its node
+   pool.  Since the buckets are Harris lists
    with SCOT, the whole map is compatible with HP/HE/IBR/Hyaline-1S — and
    every protected load goes through the bucket list's branded bracket, so
    the map inherits the typed-guard discipline transitively. *)
@@ -13,7 +16,7 @@ let slots_needed = Harris_list.slots_needed
 module Make (S : Smr.Smr_intf.S) = struct
   module L = Harris_list.Make (S)
 
-  type t = { buckets : L.t array; nbuckets : int }
+  type t = { smr : S.t; buckets : L.t array; nbuckets : int }
 
   (* [apply_batch]'s same-key coalescing memo: the key and resulting
      membership of the LATEST op of the current dispatch — single-owner
@@ -22,6 +25,7 @@ module Make (S : Smr.Smr_intf.S) = struct
      same-key run may coalesce (see [apply_batch_body]). *)
   type handle = {
     t : t;
+    s : S.th;  (* the one registration every bucket handle shares *)
     hs : L.handle array;
     mutable last_key : int;  (* key of the latest op this dispatch *)
     mutable last_mem : bool;  (* that key's membership after the op *)
@@ -35,15 +39,18 @@ module Make (S : Smr.Smr_intf.S) = struct
   let create ?recovery ?recycle ?(buckets = 64) ~smr ~threads () =
     if buckets <= 0 then invalid_arg "Hashmap.create: buckets must be positive";
     {
+      smr;
       buckets =
         Array.init buckets (fun _ -> L.create ?recovery ?recycle ~smr ~threads ());
       nbuckets = buckets;
     }
 
   let handle t ~tid =
+    let s = S.register t.smr ~tid in
     {
       t;
-      hs = Array.map (fun b -> L.handle b ~tid) t.buckets;
+      s;
+      hs = Array.map (fun b -> L.handle_on b s) t.buckets;
       last_key = 0;
       last_mem = false;
       last_valid = false;
@@ -60,11 +67,9 @@ module Make (S : Smr.Smr_intf.S) = struct
   (* Single-bracket batch dispatch: execute every request in the buffer
      under ONE [start_op]/[end_op] — one reservation publish for the
      whole group instead of one per op (the store tier's amortization).
-     Safe because the bucket handles share this tid's physical SMR cells
-     (reservations, hazard slots, Hyaline head), so a bracket entered
-     through any of them covers bodies run through the others; requests
-     execute sequentially, each reusing the hazard slots of the previous
-     one exactly as back-to-back brackets would. *)
+     All bucket handles share one registration, so the bracket covers
+     every body; requests execute sequentially, each reusing the hazard
+     slots of the previous one exactly as back-to-back brackets would. *)
   let apply_batch_body =
     {
       Smr.Smr_intf.op2 =
@@ -135,14 +140,18 @@ module Make (S : Smr.Smr_intf.S) = struct
         invalid_arg "Hashmap.apply_batch: key must be < max_int"
     done;
     h.batch_pos <- 0;
-    if b.Batch_op.n > 0 then L.with_op2 h.hs.(0) apply_batch_body h b
+    if b.Batch_op.n > 0 then S.with_op2 h.s apply_batch_body h b
 
-  let quiesce h = Array.iter L.quiesce h.hs
+  let quiesce h = S.flush h.s
 
-  (* Crash recovery, per bucket: the bucket handles share one SMR tid
-     row, so the first [L.recover] quiesces the shared cells and the
-     rest only move their own bucket's limbo. *)
-  let recover (h : handle) = { h with hs = Array.map L.recover h.hs }
+  (* Crash recovery (see [Harris_list.recover]): one registration to
+     deactivate, replace, adopt from and sweep, whatever the bucket count. *)
+  let recover (h : handle) =
+    S.deactivate h.s;
+    let fresh = handle h.t ~tid:(S.tid h.s) in
+    S.adopt ~victim:h.s ~into:fresh.s;
+    S.flush fresh.s;
+    fresh
 
   let size t = Array.fold_left (fun acc b -> acc + L.size b) 0 t.buckets
   let restarts t = Array.fold_left (fun acc b -> acc + L.restarts b) 0 t.buckets

@@ -1,8 +1,11 @@
 (** Lock-free hash set: an array of SCOT Harris lists (§2.3, §6.2).
 
-    All buckets share one SMR instance (a thread runs one bucket operation
-    at a time, so one set of hazard slots per thread suffices); each bucket
-    owns its node pool.  Compatible with every scheme the SCOT list is. *)
+    All buckets share one SMR instance, and {!Make.handle} registers on it
+    once: every bucket handle shares that registration (one limbo, one set
+    of hazard slots — a thread runs one bucket operation at a time), so
+    unreclaimed memory is bounded as for one list, whatever the bucket
+    count.  Each bucket owns its node pool.  Compatible with every scheme
+    the SCOT list is. *)
 
 val slots_needed : int
 
@@ -21,6 +24,9 @@ module Make (S : Smr.Smr_intf.S) : sig
   (** [buckets] defaults to 64. *)
 
   val handle : t -> tid:int -> handle
+  (** Register [tid] once on the map's SMR instance and build every bucket
+      handle on that registration ({!Harris_list.Make.handle_on}). *)
+
   val insert : handle -> int -> bool
   val delete : handle -> int -> bool
   val search : handle -> int -> bool
@@ -44,6 +50,7 @@ module Make (S : Smr.Smr_intf.S) : sig
       {!Batch_op.clear}). *)
 
   val quiesce : handle -> unit
+  (** One reclamation pass on the handle's registration. *)
 
   val recover : handle -> handle
   (** Crash recovery: deactivate the dead handle, register a replacement

@@ -4,29 +4,25 @@
    claimed at [register] and never given back: a crashed domain's tid
    could not be safely re-registered and its published cells leaked
    forever.  Each scheme instance now owns a seat table: [register]
-   claims a seat, [deactivate] releases it, and the counts make the
+   claims a seat, [deactivate] releases it, and the table makes the
    occupancy observable (tests, `stats`).
 
-   Counts, not booleans: the hash map legitimately registers the same
-   tid once per bucket on one shared SMR instance, so a tid may hold
-   several seats at once.  All updates are atomic CAS/fetch-and-add —
+   One flag per tid: a tid's per-domain cells (reservation, hazard
+   slots, Hyaline head) exist once, so a second live handle on them is a
+   caller bug, refused instead of silently stacked.  Claims are a CAS —
    seats are claimed and released from supervisor threads, not just the
    owner. *)
 
-type t = int Atomic.t array
+type t = bool Atomic.t array
 
-let create ~threads = Array.init threads (fun _ -> Atomic.make 0)
-let claim t ~tid = ignore (Atomic.fetch_and_add t.(tid) 1)
+let create ~threads = Array.init threads (fun _ -> Atomic.make false)
 
-(* Floor at zero so a double [deactivate] (idempotent by design) cannot
-   push a seat negative and mask a later imbalance. *)
-let release t ~tid =
-  let cell = t.(tid) in
-  let rec go () =
-    let v = Atomic.get cell in
-    if v > 0 && not (Atomic.compare_and_set cell v (v - 1)) then go ()
-  in
-  go ()
+let claim t ~tid =
+  if not (Atomic.compare_and_set t.(tid) false true) then
+    invalid_arg
+      (Printf.sprintf "Smr.register: tid %d already holds a live handle" tid)
 
-let active t ~tid = Atomic.get t.(tid)
-let total t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t
+let release t ~tid = Atomic.set t.(tid) false
+
+let total t =
+  Array.fold_left (fun acc c -> if Atomic.get c then acc + 1 else acc) 0 t

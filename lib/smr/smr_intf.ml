@@ -323,7 +323,8 @@ module type S = sig
   val create : ?config:config -> threads:int -> slots:int -> unit -> t
 
   (** One registration per thread id; the handle is not thread-safe and must
-      only be used by its owner. *)
+      only be used by its owner.  Raises [Invalid_argument] if [tid] already
+      holds a live (not deactivated) handle on this instance. *)
   val register : t -> tid:int -> th
 
   val tid : th -> int
@@ -412,7 +413,7 @@ module type S = sig
   val unreclaimed : t -> int
 
   (** Scheme-specific counters for reports.  Every scheme reports
-      ["active_handles"]: registered-minus-deactivated handles (seats). *)
+      ["active_handles"]: tids holding a live handle (seats). *)
   val stats : t -> (string * int) list
 
   (** [set_pressure t on] is the overload hook for a service tier above:

@@ -28,7 +28,6 @@ type cfg = {
   pv_buckets : int;
   pv_config : Smr.Smr_intf.config option;
   pv_budget : int option;  (* absolute per-shard budget *)
-  pv_budget_div : int;  (* else ref bound (stalled:0) / div *)
   pv_deadline_s : float;
   pv_retry : Backoff.policy;
   pv_ttl_pct : int;  (* % of puts carrying a TTL *)
@@ -53,7 +52,6 @@ let default_cfg () =
     pv_buckets = 256;
     pv_config = None;
     pv_budget = None;
-    pv_budget_div = 1;
     pv_deadline_s = 0.05;
     pv_retry = Backoff.default_policy;
     pv_ttl_pct = 25;
@@ -107,8 +105,6 @@ let run cfg =
     invalid_arg "Overload.run: phase durations must be positive";
   if cfg.pv_ttl_pct < 0 || cfg.pv_ttl_pct > 100 then
     invalid_arg "Overload.run: ttl_pct must be in [0, 100]";
-  if cfg.pv_budget_div < 1 then
-    invalid_arg "Overload.run: budget_div must be >= 1";
   (* One extra client slot past the workers: the coordinator owns it and
      uses it for the synchronous sweeps [observe_pressure] runs on
      pressured shards (worker handles are single-owner, so the
@@ -130,10 +126,14 @@ let run cfg =
      ceiling carries huge neutralization-latency terms that would hand
      it a 10x looser budget than IBR's on the same hardware): every
      scheme is budgeted against what the reference robust scheme (IBR)
-     promises at this config with NO stalled readers.  A stalled
-     reader pushes a robust scheme's plateau well past that envelope,
-     so the ramp reliably crosses Degraded, while the clean-phase gauge
-     stays below Pressured. *)
+     promises at this config with NO stalled readers — one thread's
+     share of it.  That bound is a ceiling, not a plateau: it lets every
+     registered tid hold a full buffer plus its era lag at once, while
+     here only the writers retire and each one's buffer sweeps itself
+     back down whenever it fills, so a running shard's median gauge
+     sits well inside one tid's share (OS-preemption spikes aside, see
+     below).  A parked reader pins what was live when it parked, which
+     lifts the ramp's gauge through the share into Degraded. *)
   let ibr = Smr.Registry.find_exn "IBR" in
   let budgets =
     Array.init cfg.pv_shards (fun s ->
@@ -148,7 +148,7 @@ let run cfg =
                    ~threads:sh.Shard.threads ~slots:sh.Shard.slots
                    ~range:cfg.pv_range ~stalled:0 ())
             in
-            max 1 (ref_b / cfg.pv_budget_div))
+            max 1 (ref_b / sh.Shard.threads))
   in
   (* quiesce_samples 2 (default 3): on oversubscribed hosts the raw
      gauge carries OS-preemption pinning spikes (a writer preempted

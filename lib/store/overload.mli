@@ -38,12 +38,11 @@ type cfg = {
   pv_buckets : int;
   pv_config : Smr.Smr_intf.config option;
   pv_budget : int option;
-      (** absolute per-shard pressure budget; default: the no-stall
-          ceiling the {e reference} robust scheme (IBR) promises at this
-          shard's config, / [pv_budget_div] — deliberately independent
-          of the scheme under test, so every panel member is held to the
-          same operator envelope *)
-  pv_budget_div : int;
+      (** absolute per-shard pressure budget; default: one thread's
+          share of the no-stall ceiling the {e reference} robust scheme
+          (IBR) promises at this shard's config — deliberately
+          independent of the scheme under test, so every panel member is
+          held to the same operator envelope *)
   pv_deadline_s : float;  (** per-request write deadline *)
   pv_retry : Backoff.policy;
   pv_ttl_pct : int;  (** % of puts carrying a TTL *)
@@ -55,7 +54,7 @@ type cfg = {
 val default_cfg : unit -> cfg
 (** IBR over a hashmap, 2 shards, 6 workers on 4 domains (2 dedicated
     readers, 2 writers, 2 parking extras), 0.4/0.8/0.6 s phases,
-    budget = the IBR no-stall reference ceiling. *)
+    budget = one thread's share of the IBR no-stall reference ceiling. *)
 
 type result = {
   r_enforce : bool;  (** the store shed writes: the scheme is robust *)
@@ -104,7 +103,7 @@ type result = {
 val run : cfg -> result
 (** One soak.  [Invalid_argument] unless
     [1 <= readers < domains < workers], every phase duration is
-    positive, [ttl_pct] is a percentage and [budget_div >= 1]. *)
+    positive and [ttl_pct] is a percentage. *)
 
 val result_json : cfg -> result -> Harness.Json.t
 (** One schema-v1 ["kind": "pressure"] run row. *)

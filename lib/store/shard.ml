@@ -5,10 +5,9 @@
 
    Every shard owns a private SMR instance: reclamation pressure on one
    shard never forces scans of another shard's hazard slots, and a
-   crashed client is recovered shard-by-shard.  The per-tid cells inside
-   one shard's SMR instance are shared across that shard's buckets (the
-   structure registers per-bucket handles onto the same physical cells),
-   which is what makes the single-bracket batch dispatch sound. *)
+   crashed client is recovered shard-by-shard.  All bucket handles share
+   one registration per client thread, so the single-bracket batch
+   dispatch covers every bucket. *)
 
 type backend = Hashmap | Skiplist
 

@@ -2,9 +2,8 @@
     and one pre-registered handle per client thread, type-erased like
     {!Harness.Instance.t}.
 
-    The per-tid SMR cells inside a shard are physically shared across its
-    internal (per-bucket) handle registrations, so {!t.apply_batch} runs
-    a whole request group under one bracket soundly — see
+    All bucket handles share one registration per client thread, so
+    {!t.apply_batch} runs a whole request group under one bracket — see
     {!Scot.Hashmap.Make.apply_batch}. *)
 
 type backend = Hashmap | Skiplist

@@ -121,20 +121,30 @@ let test_adopt_requires_deactivate (module S : Smr.Smr_intf.S) () =
   | () -> Alcotest.fail (S.name ^ ": adopt of a live handle did not raise")
   | exception Invalid_argument _ -> ()
 
-(* Seat accounting: a deactivated tid's seat is released and the same tid
-   re-registers cleanly — including after a crash *inside* an operation,
-   the case that used to trip Hyaline's per-slot ownership CAS. *)
+(* Seat accounting: a tid holds at most one live handle, a deactivated
+   tid's seat is released and the same tid re-registers cleanly —
+   including after a crash *inside* an operation, the case that used to
+   trip Hyaline's per-slot ownership CAS. *)
 let test_seat_reuse (module S : Smr.Smr_intf.S) () =
   let t = S.create ~config:config_small ~threads:2 ~slots:2 () in
   let h0 = S.register t ~tid:0 in
   let _h1 = S.register t ~tid:1 in
   check_int (S.name ^ ": both seats claimed") 2 (active_handles (S.stats t));
+  let refused () =
+    match S.register t ~tid:0 with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check (S.name ^ ": second register on a live tid refused") true (refused ());
+  check_int (S.name ^ ": refusal claimed no seat") 2
+    (active_handles (S.stats t));
   (* Crash mid-op: start without end, then declare the owner dead. *)
   S.start_op h0;
   S.deactivate h0;
   check_int (S.name ^ ": seat released") 1 (active_handles (S.stats t));
   let h0' = S.register t ~tid:0 in
   check_int (S.name ^ ": seat reclaimed") 2 (active_handles (S.stats t));
+  check (S.name ^ ": the replacement holds the seat") true (refused ());
   (* The replacement runs a full operation on the recycled slot. *)
   S.start_op h0';
   let hdr = Memory.Hdr.create () in

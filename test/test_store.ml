@@ -15,6 +15,8 @@ let check_int = Alcotest.(check int)
 
 let hln = Smr.Registry.find_exn "HLN"
 let ebr = Smr.Registry.find_exn "EBR"
+let hp = Smr.Registry.find_exn "HP"
+let ibr = Smr.Registry.find_exn "IBR"
 
 let mk_store ?(backend = Shard.Hashmap) ?(scheme = hln) ?(shards = 4)
     ?(threads = 1) ?batch_capacity () =
@@ -247,6 +249,56 @@ let test_store_rejects_bad_dims () =
       (fun () -> mk_store ~batch_capacity:0 ());
     ]
 
+(* --- gauge bound: one SMR registration per client per shard --- *)
+
+(* A robust scheme bounds unreclaimed memory by O(threshold x threads),
+   and the hash map's bucket count must not enter that bound: each shard
+   holds one registration (one limbo) per client, whatever [buckets] is.
+   The gauge is checked after every request against the no-stall bound,
+   which has no bucket term. *)
+let test_gauge_bound_ignores_buckets () =
+  let module W = Harness.Workload in
+  let shards = 4 and threads = 1 and range = 1024 in
+  List.iter
+    (fun ((module S : Smr.Smr_intf.S) as scheme) ->
+      List.iter
+        (fun buckets ->
+          let what = Printf.sprintf "%s buckets=%d" S.name buckets in
+          let store =
+            Store.create ~buckets ~backend:Shard.Hashmap ~scheme ~shards
+              ~threads ()
+          in
+          let bound = Option.get (Store.mem_bound store ~range ~stalled:0 ()) in
+          let c = Store.client store ~tid:0 in
+          let rng = W.Rng.create ~seed:0x5EED in
+          let sampler = W.sampler (W.Zipf 0.99) ~range in
+          let keys = Array.make 8 0 in
+          let peak = ref 0 in
+          for _ = 1 to 10_000 do
+            (match W.Rng.int rng 5 with
+            | 0 | 1 -> ignore (Store.put c (W.draw sampler rng))
+            | 2 | 3 -> ignore (Store.delete c (W.draw sampler rng))
+            | _ ->
+                for i = 0 to 7 do
+                  keys.(i) <- W.draw sampler rng
+                done;
+                ignore (Store.get_many c keys));
+            peak := max !peak (Store.unreclaimed store)
+          done;
+          if !peak > bound then
+            Alcotest.failf "%s: gauge peaked at %d > no-stall bound %d" what
+              !peak bound;
+          for s = 0 to shards - 1 do
+            check_int
+              (Printf.sprintf "%s: shard %d holds one handle per client" what s)
+              threads
+              (List.assoc "active_handles"
+                 ((Store.shard store s).Shard.scheme_stats ()))
+          done;
+          Store.teardown store)
+        [ 1; 16; 256 ])
+    [ hp; ibr; hln ]
+
 (* --- serve soak: supervisor + chaos live, 1 crashed worker --- *)
 
 let test_serve_soak_recovers_crash () =
@@ -305,6 +357,8 @@ let () =
             test_stats_occupancy_and_totals;
           Alcotest.test_case "rejects bad dims" `Quick
             test_store_rejects_bad_dims;
+          Alcotest.test_case "gauge bound ignores bucket count" `Quick
+            test_gauge_bound_ignores_buckets;
         ] );
       ( "serve",
         [
