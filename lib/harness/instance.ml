@@ -164,6 +164,35 @@ let with_fault (t : t) =
       };
   }
 
+(* Erase a built set over its scheme instance: one handle per thread,
+   every closure field filled once, the gauge and counters read from the
+   scheme, fault control attached. *)
+let of_set (type s l) ~structure ~threads ~slots ?(max_key = max_int)
+    (module S : Smr.Smr_intf.S with type t = s) (smr : s)
+    (module L : Scot.Set_intf.S with type t = l) (set : l) =
+  let handles = Array.init threads (fun tid -> L.handle set ~tid) in
+  with_fault
+    {
+      structure;
+      scheme = S.name;
+      threads;
+      slots;
+      insert = (fun ~tid k -> L.insert handles.(tid) k);
+      delete = (fun ~tid k -> L.delete handles.(tid) k);
+      search = (fun ~tid k -> L.search handles.(tid) k);
+      quiesce = (fun ~tid -> L.quiesce handles.(tid));
+      teardown = (fun () -> Array.iter L.quiesce handles);
+      restarts = (fun () -> L.restarts set);
+      unreclaimed = (fun () -> S.unreclaimed smr);
+      scheme_stats = (fun () -> S.stats smr);
+      size = (fun () -> L.size set);
+      check_invariants = (fun () -> L.check_invariants set);
+      recover = (fun ~tid -> handles.(tid) <- L.recover handles.(tid));
+      capabilities = S.capabilities;
+      fault = no_fault;
+      max_key;
+    }
+
 type builder = {
   name : string;
   description : string;
@@ -173,262 +202,77 @@ type builder = {
           unit -> t;
 }
 
-let make_hlist ?(recovery = true) (module S : Smr.Smr_intf.S) ~threads ?config
-    () =
-  let module L = Scot.Harris_list.Make (S) in
-  let slots = Scot.Harris_list.slots_needed in
-  let smr = S.create ?config ~threads ~slots () in
-  let t = L.create ~recovery ~smr ~threads () in
-  let handles = Array.init threads (fun tid -> L.handle t ~tid) in
-  {
-    structure = (if recovery then "HList" else "HList-norec");
-    scheme = S.name;
-    threads;
-    slots;
-    insert = (fun ~tid k -> L.insert handles.(tid) k);
-    delete = (fun ~tid k -> L.delete handles.(tid) k);
-    search = (fun ~tid k -> L.search handles.(tid) k);
-    quiesce = (fun ~tid -> L.quiesce handles.(tid));
-    teardown = (fun () -> Array.iter L.quiesce handles);
-    restarts = (fun () -> L.restarts t);
-    scheme_stats = (fun () -> S.stats smr);
-    unreclaimed = (fun () -> L.unreclaimed t);
-    size = (fun () -> L.size t);
-    check_invariants = (fun () -> L.check_invariants t);
-    recover = (fun ~tid -> handles.(tid) <- L.recover handles.(tid));
-    capabilities = S.capabilities;
-    fault = no_fault;
-    max_key = max_int;
-  }
-
-let make_hlist_wf (module S : Smr.Smr_intf.S) ~threads ?config () =
-  let module L = Scot.Harris_list_wf.Make (S) in
-  let slots = Scot.Harris_list_wf.slots_needed in
-  let smr = S.create ?config ~threads ~slots () in
-  let t = L.create ~smr ~threads () in
-  let handles = Array.init threads (fun tid -> L.handle t ~tid) in
-  {
-    structure = "HListWF";
-    scheme = S.name;
-    threads;
-    slots;
-    insert = (fun ~tid k -> L.insert handles.(tid) k);
-    delete = (fun ~tid k -> L.delete handles.(tid) k);
-    search = (fun ~tid k -> L.search handles.(tid) k);
-    quiesce = (fun ~tid -> L.quiesce handles.(tid));
-    teardown = (fun () -> Array.iter L.quiesce handles);
-    restarts = (fun () -> L.restarts t);
-    scheme_stats = (fun () -> S.stats smr);
-    unreclaimed = (fun () -> L.unreclaimed t);
-    size = (fun () -> L.size t);
-    check_invariants = (fun () -> L.check_invariants t);
-    recover = (fun ~tid -> handles.(tid) <- L.recover handles.(tid));
-    capabilities = S.capabilities;
-    fault = no_fault;
-    max_key = max_int;
-  }
-
-let make_hmlist (module S : Smr.Smr_intf.S) ~threads ?config () =
-  let module L = Scot.Harris_michael_list.Make (S) in
-  let slots = Scot.Harris_michael_list.slots_needed in
-  let smr = S.create ?config ~threads ~slots () in
-  let t = L.create ~smr ~threads () in
-  let handles = Array.init threads (fun tid -> L.handle t ~tid) in
-  {
-    structure = "HMList";
-    scheme = S.name;
-    threads;
-    slots;
-    insert = (fun ~tid k -> L.insert handles.(tid) k);
-    delete = (fun ~tid k -> L.delete handles.(tid) k);
-    search = (fun ~tid k -> L.search handles.(tid) k);
-    quiesce = (fun ~tid -> L.quiesce handles.(tid));
-    teardown = (fun () -> Array.iter L.quiesce handles);
-    restarts = (fun () -> L.restarts t);
-    scheme_stats = (fun () -> S.stats smr);
-    unreclaimed = (fun () -> L.unreclaimed t);
-    size = (fun () -> L.size t);
-    check_invariants = (fun () -> L.check_invariants t);
-    recover = (fun ~tid -> handles.(tid) <- L.recover handles.(tid));
-    capabilities = S.capabilities;
-    fault = no_fault;
-    max_key = max_int;
-  }
-
-let make_hlist_unsafe (module S : Smr.Smr_intf.S) ~threads ?config () =
-  let module L = Scot.Harris_list_unsafe.Make (S) in
-  let slots = Scot.Harris_list_unsafe.slots_needed in
-  let smr = S.create ?config ~threads ~slots () in
-  let t = L.create ~smr ~threads () in
-  let handles = Array.init threads (fun tid -> L.handle t ~tid) in
-  {
-    structure = "HListUnsafe";
-    scheme = S.name;
-    threads;
-    slots;
-    insert = (fun ~tid k -> L.insert handles.(tid) k);
-    delete = (fun ~tid k -> L.delete handles.(tid) k);
-    search = (fun ~tid k -> L.search handles.(tid) k);
-    quiesce = (fun ~tid -> L.quiesce handles.(tid));
-    teardown = (fun () -> Array.iter L.quiesce handles);
-    restarts = (fun () -> L.restarts t);
-    scheme_stats = (fun () -> S.stats smr);
-    unreclaimed = (fun () -> L.unreclaimed t);
-    size = (fun () -> L.size t);
-    check_invariants = (fun () -> ());
-    recover = (fun ~tid -> handles.(tid) <- L.recover handles.(tid));
-    capabilities = S.capabilities;
-    fault = no_fault;
-    max_key = max_int;
-  }
-
-let make_nmtree (module S : Smr.Smr_intf.S) ~threads ?config () =
-  let module T = Scot.Nm_tree.Make (S) in
-  let slots = Scot.Nm_tree.slots_needed in
-  let smr = S.create ?config ~threads ~slots () in
-  let t = T.create ~smr ~threads () in
-  let handles = Array.init threads (fun tid -> T.handle t ~tid) in
-  {
-    structure = "NMTree";
-    scheme = S.name;
-    threads;
-    slots;
-    insert = (fun ~tid k -> T.insert handles.(tid) k);
-    delete = (fun ~tid k -> T.delete handles.(tid) k);
-    search = (fun ~tid k -> T.search handles.(tid) k);
-    quiesce = (fun ~tid -> T.quiesce handles.(tid));
-    teardown = (fun () -> Array.iter T.quiesce handles);
-    restarts = (fun () -> T.restarts t);
-    scheme_stats = (fun () -> S.stats smr);
-    unreclaimed = (fun () -> T.unreclaimed t);
-    size = (fun () -> T.size t);
-    check_invariants = (fun () -> T.check_invariants t);
-    recover = (fun ~tid -> handles.(tid) <- T.recover handles.(tid));
-    capabilities = S.capabilities;
-    fault = no_fault;
-    max_key = Scot.Nm_tree.inf1;
-  }
-
-let make_skiplist ?(optimistic = true) (module S : Smr.Smr_intf.S) ~threads
-    ?config () =
-  let module SL = Scot.Skiplist.Make (S) in
-  let slots = Scot.Skiplist.slots_needed in
-  let smr = S.create ?config ~threads ~slots () in
-  let t = SL.create ~optimistic ~smr ~threads () in
-  let handles = Array.init threads (fun tid -> SL.handle t ~tid) in
-  {
-    structure = (if optimistic then "SkipList" else "SkipList-HS");
-    scheme = S.name;
-    threads;
-    slots;
-    insert = (fun ~tid k -> SL.insert handles.(tid) k);
-    delete = (fun ~tid k -> SL.delete handles.(tid) k);
-    search = (fun ~tid k -> SL.search handles.(tid) k);
-    quiesce = (fun ~tid -> SL.quiesce handles.(tid));
-    teardown = (fun () -> Array.iter SL.quiesce handles);
-    restarts = (fun () -> SL.restarts t);
-    scheme_stats = (fun () -> S.stats smr);
-    unreclaimed = (fun () -> SL.unreclaimed t);
-    size = (fun () -> SL.size t);
-    check_invariants = (fun () -> SL.check_invariants t);
-    recover = (fun ~tid -> handles.(tid) <- SL.recover handles.(tid));
-    capabilities = S.capabilities;
-    fault = no_fault;
-    max_key = max_int;
-  }
-
-let make_hashmap (module S : Smr.Smr_intf.S) ~threads ?config () =
-  let module M = Scot.Hashmap.Make (S) in
-  let slots = Scot.Hashmap.slots_needed in
-  let smr = S.create ?config ~threads ~slots () in
-  let t = M.create ~buckets:64 ~smr ~threads () in
-  let handles = Array.init threads (fun tid -> M.handle t ~tid) in
-  {
-    structure = "HashMap";
-    scheme = S.name;
-    threads;
-    slots;
-    insert = (fun ~tid k -> M.insert handles.(tid) k);
-    delete = (fun ~tid k -> M.delete handles.(tid) k);
-    search = (fun ~tid k -> M.search handles.(tid) k);
-    quiesce = (fun ~tid -> M.quiesce handles.(tid));
-    teardown = (fun () -> Array.iter M.quiesce handles);
-    restarts = (fun () -> M.restarts t);
-    scheme_stats = (fun () -> S.stats smr);
-    unreclaimed = (fun () -> S.unreclaimed smr);
-    size = (fun () -> M.size t);
-    check_invariants = (fun () -> M.check_invariants t);
-    recover = (fun ~tid -> handles.(tid) <- M.recover handles.(tid));
-    capabilities = S.capabilities;
-    fault = no_fault;
-    max_key = max_int;
-  }
-
+(* Each entry applies its structure's functor to the scheme, creates the
+   scheme instance with the structure's slot count, and erases the set. *)
 let builders : builder list =
-  let fc build = fun s ~threads ?config () -> with_fault (build s ~threads ?config ()) in
+  let set ?(safe_for_robust = true) name description build =
+    { name; description; safe_for_robust; build = build ~structure:name }
+  in
   [
-    {
-      name = "HList";
-      description = "Harris' list with SCOT (lock-free, recovery opt)";
-      safe_for_robust = true;
-      build = fc (fun s ~threads ?config () -> make_hlist s ~threads ?config ());
-    };
-    {
-      name = "HList-norec";
-      description = "Harris' list with SCOT, recovery optimisation disabled";
-      safe_for_robust = true;
-      build =
-        fc (fun s ~threads ?config () ->
-            make_hlist ~recovery:false s ~threads ?config ());
-    };
-    {
-      name = "HListWF";
-      description = "Harris' list with SCOT and wait-free traversals";
-      safe_for_robust = true;
-      build =
-        fc (fun s ~threads ?config () -> make_hlist_wf s ~threads ?config ());
-    };
-    {
-      name = "HMList";
-      description = "Harris-Michael list (eager unlink baseline)";
-      safe_for_robust = true;
-      build = fc (fun s ~threads ?config () -> make_hmlist s ~threads ?config ());
-    };
-    {
-      name = "HListUnsafe";
-      description = "Harris' list WITHOUT SCOT (Figure 2 demo; unsafe)";
-      safe_for_robust = false;
-      build =
-        fc (fun s ~threads ?config () ->
-            make_hlist_unsafe s ~threads ?config ());
-    };
-    {
-      name = "NMTree";
-      description = "Natarajan-Mittal tree with SCOT";
-      safe_for_robust = true;
-      build = fc (fun s ~threads ?config () -> make_nmtree s ~threads ?config ());
-    };
-    {
-      name = "SkipList";
-      description = "Skip list with SCOT per-level optimistic traversals";
-      safe_for_robust = true;
-      build =
-        fc (fun s ~threads ?config () -> make_skiplist s ~threads ?config ());
-    };
-    {
-      name = "HashMap";
-      description = "Lock-free hash set: array of SCOT Harris lists";
-      safe_for_robust = true;
-      build = fc (fun s ~threads ?config () -> make_hashmap s ~threads ?config ());
-    };
-    {
-      name = "SkipList-HS";
-      description = "Skip list, Herlihy-Shavit-style eager searches (baseline)";
-      safe_for_robust = true;
-      build =
-        fc (fun s ~threads ?config () ->
-            make_skiplist ~optimistic:false s ~threads ?config ());
-    };
+    set "HList" "Harris' list with SCOT (lock-free, recovery opt)"
+      (fun ~structure (module S) ~threads ?config () ->
+        let module L = Scot.Harris_list.Make (S) in
+        let slots = Scot.Harris_list.slots_needed in
+        let smr = S.create ?config ~threads ~slots () in
+        of_set ~structure ~threads ~slots (module S) smr (module L)
+          (L.create ~smr ~threads ()));
+    set "HList-norec" "Harris' list with SCOT, recovery optimisation disabled"
+      (fun ~structure (module S) ~threads ?config () ->
+        let module L = Scot.Harris_list.Make (S) in
+        let slots = Scot.Harris_list.slots_needed in
+        let smr = S.create ?config ~threads ~slots () in
+        of_set ~structure ~threads ~slots (module S) smr (module L)
+          (L.create ~recovery:false ~smr ~threads ()));
+    set "HListWF" "Harris' list with SCOT and wait-free traversals"
+      (fun ~structure (module S) ~threads ?config () ->
+        let module L = Scot.Harris_list_wf.Make (S) in
+        let slots = Scot.Harris_list_wf.slots_needed in
+        let smr = S.create ?config ~threads ~slots () in
+        of_set ~structure ~threads ~slots (module S) smr (module L)
+          (L.create ~smr ~threads ()));
+    set "HMList" "Harris-Michael list (eager unlink baseline)"
+      (fun ~structure (module S) ~threads ?config () ->
+        let module L = Scot.Harris_michael_list.Make (S) in
+        let slots = Scot.Harris_michael_list.slots_needed in
+        let smr = S.create ?config ~threads ~slots () in
+        of_set ~structure ~threads ~slots (module S) smr (module L)
+          (L.create ~smr ~threads ()));
+    set ~safe_for_robust:false "HListUnsafe"
+      "Harris' list WITHOUT SCOT (Figure 2 demo; unsafe)"
+      (fun ~structure (module S) ~threads ?config () ->
+        let module L = Scot.Harris_list_unsafe.Make (S) in
+        let slots = Scot.Harris_list_unsafe.slots_needed in
+        let smr = S.create ?config ~threads ~slots () in
+        of_set ~structure ~threads ~slots (module S) smr (module L)
+          (L.create ~smr ~threads ()));
+    set "NMTree" "Natarajan-Mittal tree with SCOT"
+      (fun ~structure (module S) ~threads ?config () ->
+        let module T = Scot.Nm_tree.Make (S) in
+        let slots = Scot.Nm_tree.slots_needed in
+        let smr = S.create ?config ~threads ~slots () in
+        of_set ~structure ~threads ~slots ~max_key:Scot.Nm_tree.inf1
+          (module S) smr (module T) (T.create ~smr ~threads ()));
+    set "SkipList" "Skip list with SCOT per-level optimistic traversals"
+      (fun ~structure (module S) ~threads ?config () ->
+        let module SL = Scot.Skiplist.Make (S) in
+        let slots = Scot.Skiplist.slots_needed in
+        let smr = S.create ?config ~threads ~slots () in
+        of_set ~structure ~threads ~slots (module S) smr (module SL)
+          (SL.create ~smr ~threads ()));
+    set "HashMap" "Lock-free hash set: array of SCOT Harris lists"
+      (fun ~structure (module S) ~threads ?config () ->
+        let module M = Scot.Hashmap.Make (S) in
+        let slots = Scot.Hashmap.slots_needed in
+        let smr = S.create ?config ~threads ~slots () in
+        of_set ~structure ~threads ~slots (module S) smr (module M)
+          (M.create ~buckets:64 ~smr ~threads ()));
+    set "SkipList-HS" "Skip list, Herlihy-Shavit-style eager searches (baseline)"
+      (fun ~structure (module S) ~threads ?config () ->
+        let module SL = Scot.Skiplist.Make (S) in
+        let slots = Scot.Skiplist.slots_needed in
+        let smr = S.create ?config ~threads ~slots () in
+        of_set ~structure ~threads ~slots (module S) smr (module SL)
+          (SL.create ~optimistic:false ~smr ~threads ()));
   ]
 
 let lookup_builder name =

@@ -42,4 +42,7 @@ module Make (S : Smr.Smr_intf.S) : sig
 
   val to_list : t -> int list
   val size : t -> int
+
+  val check_invariants : t -> unit
+  (** A no-op: the Figure-2 variant may legitimately corrupt. *)
 end

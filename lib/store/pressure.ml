@@ -10,8 +10,7 @@
 
      Healthy      normal operation
      Pressured    mitigation: synchronous sweeps after every dispatch,
-                  effective batch capacity halved, the SMR tuners clamped
-                  to their most aggressive bounds
+                  effective batch capacity halved
      Degraded_ttl load shedding, stage 1: TTL-carrying writes (cache
                   fills, expiring state) are rejected with [`Overload];
                   durable writes and all reads still flow

@@ -17,7 +17,7 @@ type level =
   | Healthy  (** normal operation *)
   | Pressured
       (** mitigation: synchronous sweeps after dispatch, halved effective
-          batch capacity, SMR tuners clamped to their aggressive bounds *)
+          batch capacity *)
   | Degraded_ttl  (** shed TTL-carrying writes; durable writes/reads flow *)
   | Degraded_all  (** shed every write; reads still flow *)
 

@@ -1,7 +1,7 @@
-(* One store shard: a structure instance plus its own SMR instance and a
-   pre-registered handle per client thread, type-erased the way
-   [Harness.Instance] erases benchmark structures so the store front end
-   and the serve runner work over any (backend x scheme) pair.
+(* One store shard: a batched set ([Scot.Set_intf.BATCHED]) plus its own
+   SMR instance and a pre-registered handle per client thread, erased by
+   [of_set] so the store front end and the serve runner work over any
+   (backend x scheme) pair.
 
    Every shard owns a private SMR instance: reclamation pressure on one
    shard never forces scans of another shard's hazard slots, and a
@@ -39,64 +39,31 @@ type t = {
   check_invariants : unit -> unit;
   recover : tid:int -> unit;
   capabilities : Smr.Smr_intf.capabilities;
-  set_pressure : bool -> unit;
-      (* clamp/release this shard's SMR tuners (S.set_pressure) *)
 }
 
-let make_hashmap (module S : Smr.Smr_intf.S) ~threads ~config ~buckets () =
-  let module M = Scot.Hashmap.Make (S) in
-  let slots = Scot.Hashmap.slots_needed in
-  let smr = S.create ~config ~threads ~slots () in
-  let t = M.create ~buckets ~smr ~threads () in
-  let handles = Array.init threads (fun tid -> M.handle t ~tid) in
+let of_set (type s l) ~backend ~config ~threads ~slots
+    (module S : Smr.Smr_intf.S with type t = s) (smr : s)
+    (module B : Scot.Set_intf.BATCHED with type t = l) (set : l) =
+  let handles = Array.init threads (fun tid -> B.handle set ~tid) in
   {
-    backend = Hashmap;
+    backend;
     scheme = S.name;
     scheme_mod = (module S : Smr.Smr_intf.S);
     config;
     threads;
     slots;
-    search = (fun ~tid k -> M.search handles.(tid) k);
-    insert = (fun ~tid k -> M.insert handles.(tid) k);
-    delete = (fun ~tid k -> M.delete handles.(tid) k);
-    apply_batch = (fun ~tid b -> M.apply_batch handles.(tid) b);
-    quiesce = (fun ~tid -> M.quiesce handles.(tid));
-    teardown = (fun () -> Array.iter M.quiesce handles);
+    search = (fun ~tid k -> B.search handles.(tid) k);
+    insert = (fun ~tid k -> B.insert handles.(tid) k);
+    delete = (fun ~tid k -> B.delete handles.(tid) k);
+    apply_batch = (fun ~tid b -> B.apply_batch handles.(tid) b);
+    quiesce = (fun ~tid -> B.quiesce handles.(tid));
+    teardown = (fun () -> Array.iter B.quiesce handles);
     unreclaimed = (fun () -> S.unreclaimed smr);
     scheme_stats = (fun () -> S.stats smr);
-    size = (fun () -> M.size t);
-    check_invariants = (fun () -> M.check_invariants t);
-    recover = (fun ~tid -> handles.(tid) <- M.recover handles.(tid));
+    size = (fun () -> B.size set);
+    check_invariants = (fun () -> B.check_invariants set);
+    recover = (fun ~tid -> handles.(tid) <- B.recover handles.(tid));
     capabilities = S.capabilities;
-    set_pressure = (fun on -> S.set_pressure smr on);
-  }
-
-let make_skiplist (module S : Smr.Smr_intf.S) ~threads ~config () =
-  let module SL = Scot.Skiplist.Make (S) in
-  let slots = Scot.Skiplist.slots_needed in
-  let smr = S.create ~config ~threads ~slots () in
-  let t = SL.create ~smr ~threads () in
-  let handles = Array.init threads (fun tid -> SL.handle t ~tid) in
-  {
-    backend = Skiplist;
-    scheme = S.name;
-    scheme_mod = (module S : Smr.Smr_intf.S);
-    config;
-    threads;
-    slots;
-    search = (fun ~tid k -> SL.search handles.(tid) k);
-    insert = (fun ~tid k -> SL.insert handles.(tid) k);
-    delete = (fun ~tid k -> SL.delete handles.(tid) k);
-    apply_batch = (fun ~tid b -> SL.apply_batch handles.(tid) b);
-    quiesce = (fun ~tid -> SL.quiesce handles.(tid));
-    teardown = (fun () -> Array.iter SL.quiesce handles);
-    unreclaimed = (fun () -> SL.unreclaimed t);
-    scheme_stats = (fun () -> S.stats smr);
-    size = (fun () -> SL.size t);
-    check_invariants = (fun () -> SL.check_invariants t);
-    recover = (fun ~tid -> handles.(tid) <- SL.recover handles.(tid));
-    capabilities = S.capabilities;
-    set_pressure = (fun on -> S.set_pressure smr on);
   }
 
 let create ?config ?(buckets = 256) ~backend ~scheme ~threads () =
@@ -107,8 +74,18 @@ let create ?config ?(buckets = 256) ~backend ~scheme ~threads () =
     | None -> Smr.Smr_intf.default_config ~threads
   in
   match backend with
-  | Hashmap -> make_hashmap (module S) ~threads ~config ~buckets ()
-  | Skiplist -> make_skiplist (module S) ~threads ~config ()
+  | Hashmap ->
+      let module M = Scot.Hashmap.Make (S) in
+      let slots = Scot.Hashmap.slots_needed in
+      let smr = S.create ~config ~threads ~slots () in
+      of_set ~backend ~config ~threads ~slots (module S) smr (module M)
+        (M.create ~buckets ~smr ~threads ())
+  | Skiplist ->
+      let module SL = Scot.Skiplist.Make (S) in
+      let slots = Scot.Skiplist.slots_needed in
+      let smr = S.create ~config ~threads ~slots () in
+      of_set ~backend ~config ~threads ~slots (module S) smr (module SL)
+        (SL.create ~smr ~threads ())
 
 (* Memory ceiling for the soak verdict: delegate to the chaos bound with
    this shard's own scheme/config/slots.  [None] for non-robust schemes. *)

@@ -1,6 +1,7 @@
-(** One store shard: a structure instance with its {e own} SMR instance
-    and one pre-registered handle per client thread, type-erased like
-    {!Harness.Instance.t}.
+(** One store shard: a batched set ({!Scot.Set_intf.BATCHED}) with its
+    {e own} SMR instance and one pre-registered handle per client thread,
+    erased into closures the way {!Harness.Instance.t} erases benchmark
+    structures.
 
     All bucket handles share one registration per client thread, so
     {!t.apply_batch} runs a whole request group under one bracket — see
@@ -39,11 +40,6 @@ type t = {
   capabilities : Smr.Smr_intf.capabilities;
       (** the scheme's capability record; the store tier aggregates
           [robust]/[recoverable] over its shards *)
-  set_pressure : bool -> unit;
-      (** Clamp (or release) this shard's SMR tuners to their most
-          aggressive bounds — {!Smr.Smr_intf.S.set_pressure} on the
-          shard's private instance.  Called by the store's pressure
-          coordinator when the shard enters/leaves [Pressured]. *)
 }
 
 val create :

@@ -120,9 +120,7 @@ let pressure t s =
   match t.pressure with None -> None | Some arr -> Some arr.(s)
 
 (* One coordinator sample: feed every shard's gauge and write backlog to
-   its state machine, propagate the Pressured clamp into the shard's SMR
-   tuners, and report the worst level.  [set_pressure] is idempotent, so
-   re-asserting it every sample is free.
+   its state machine and report the worst level.
 
    [sweep_tid], when given, must be a client slot the coordinator OWNS
    (no worker domain uses it): every shard at Pressured or worse gets a
@@ -148,7 +146,6 @@ let observe_pressure ?sweep_tid t ~now =
           let pressed =
             Pressure.level_rank level >= Pressure.level_rank Pressure.Pressured
           in
-          sh.Shard.set_pressure pressed;
           (match sweep_tid with
           | Some tid when pressed -> sh.Shard.quiesce ~tid
           | _ -> ());

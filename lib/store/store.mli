@@ -167,11 +167,9 @@ val ref_mem_bound : t -> range:int -> ?adopted:int -> stalled:int -> unit -> int
     Disarmed by default.  {!arm_pressure} installs one {!Pressure.t} per
     shard; the coordinator then calls {!observe_pressure} at its sample
     cadence.  While a shard is [Pressured] or worse, its dispatches are
-    followed by a synchronous sweep, its effective batch capacity is
-    halved, and its SMR tuners are clamped via
-    {!Shard.t.set_pressure}; if the store is {!robust},
-    [Degraded_*] additionally sheds deferred writes (see
-    {!enqueue_put}). *)
+    followed by a synchronous sweep and its effective batch capacity is
+    halved; if the store is {!robust}, [Degraded_*] additionally sheds
+    deferred writes (see {!enqueue_put}). *)
 
 val arm_pressure : t -> Pressure.config array -> unit
 (** One config per shard ([Invalid_argument] on length mismatch);
@@ -183,7 +181,7 @@ val arm_pressure : t -> Pressure.config array -> unit
 
 val observe_pressure : ?sweep_tid:int -> t -> now:float -> Pressure.level
 (** Feed every shard's gauge and queued-write backlog into its state
-    machine and propagate tuner clamps; returns the worst shard level.
+    machine; returns the worst shard level.
     Coordinator-side; [Healthy] and a no-op when disarmed.
 
     [sweep_tid] must be a client slot owned by the coordinator (never

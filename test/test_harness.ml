@@ -75,11 +75,21 @@ let test_all_builders_all_schemes () =
     (fun (b : Harness.Instance.builder) ->
       List.iter
         (fun scheme ->
+          let (module S : Smr.Smr_intf.S) = scheme in
           let i = b.build scheme ~threads:2 () in
+          let name = b.name ^ "/" ^ S.name in
+          Alcotest.(check string) (name ^ " structure") b.name i.structure;
+          Alcotest.(check string) (name ^ " scheme") S.name i.scheme;
           check "insert" true (i.Harness.Instance.insert ~tid:0 10);
           check "search from another tid" true
             (i.Harness.Instance.search ~tid:1 10);
           check "delete" true (i.Harness.Instance.delete ~tid:1 10);
+          (* The fault drivers' sentinel key (see [Instance.drive]). *)
+          let sentinel = i.max_key - 1 in
+          check (name ^ " sentinel insert") true (i.insert ~tid:0 sentinel);
+          check (name ^ " sentinel search") true (i.search ~tid:1 sentinel);
+          check (name ^ " sentinel delete") true (i.delete ~tid:1 sentinel);
+          check (name ^ " sentinel gone") false (i.search ~tid:0 sentinel);
           i.quiesce ~tid:0;
           i.quiesce ~tid:1)
         Smr.Registry.all)
