@@ -21,7 +21,7 @@
    - op-allocs     single-domain allocation audit of the operation fast
                    paths: GC minor words per HList search / insert /
                    delete after warm-up.  Asserts 0.00 words per search for
-                   EBR, HP, HE, IBR, HYB and DBR (disable with --no-assert).
+                   EBR, HP, HE, IBR and DBR (disable with --no-assert).
    - tune          (via --tune, replaces the suite above) static
                    reclamation thresholds vs the adaptive controller on a
                    phase-shifting workload with a straggling reader; runs
@@ -30,14 +30,14 @@
    Flags:
      --json PATH      write a schema-v1 BENCH artifact (runs carry
                       "kind": "micro"; see scripts/validate_bench.py)
-     --schemes LIST   comma-separated (default EBR,IBR,HE,HLN,HP,HYB)
+     --schemes LIST   comma-separated (default EBR,IBR,HE,HLN,HP)
      --structures L   comma-separated, for ops (default HList,HMList,SkipList)
      --threads LIST   comma-separated domain counts (default 1,4)
      --duration SECS  per timed run (default 0.5)
      --hold SECS      reader hold time for retire-stall (default 0.002)
      --repeats N      timed-run repeats, median reported (default 1)
      --no-assert      report op-allocs without the zero-allocation check
-     --smoke          CI preset: 0.1 s, threads 1,2, EBR+IBR+HYB+DBR, HList, 1 repeat
+     --smoke          CI preset: 0.1 s, threads 1,2, EBR+IBR+DBR, HList, 1 repeat
 *)
 
 module Json = Harness.Json
@@ -416,7 +416,7 @@ let op_allocs_runs (module S : Smr.Smr_intf.S) ~assert_zero =
       mk_run "delete" wr_batch !d_words !d_el;
     ]
   in
-  let zero_alloc_schemes = [ "EBR"; "HP"; "HE"; "IBR"; "HYB"; "DBR" ] in
+  let zero_alloc_schemes = [ "EBR"; "HP"; "HE"; "IBR"; "DBR" ] in
   if assert_zero && List.mem S.name zero_alloc_schemes then
     (* All three fast paths must stay allocation-free — the branded
        bracket ([with_op*] + [protect]/[Guard.deref]) must compile away
@@ -625,7 +625,7 @@ let () =
   let duration = ref 0.5 in
   let hold = ref 0.002 in
   let repeats = ref 1 in
-  let schemes = ref "EBR,IBR,HE,HLN,HP,HYB" in
+  let schemes = ref "EBR,IBR,HE,HLN,HP" in
   let structures = ref "HList,HMList,SkipList" in
   let threads = ref "1,4" in
   let smoke = ref false in
@@ -663,7 +663,7 @@ let () =
   if !smoke then begin
     duration := 0.1;
     threads := "1,2";
-    schemes := "EBR,IBR,HYB,DBR";
+    schemes := "EBR,IBR,DBR";
     structures := "HList";
     repeats := 1
   end;

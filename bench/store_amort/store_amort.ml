@@ -21,7 +21,7 @@ module B = Scot.Batch_op
 let duration = ref 0.5
 let range = ref 8192
 let buckets = ref 256
-let schemes = ref "EBR,HE,IBR,HLN,HYB,HP"
+let schemes = ref "EBR,HE,IBR,HLN,HP"
 let now = Unix.gettimeofday
 
 let time_ns_per_op f =

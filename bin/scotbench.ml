@@ -272,10 +272,10 @@ let chaos_cmd =
       & info [ "scheme" ] ~docv:"NAME"
           ~doc:
             "Restrict the matrix to one SMR scheme (default: all).  \
-             Selecting the hybrid (hybrid or HYB) or the neutralizing \
-             DEBRA+ scheme (debra or DBR) additionally runs the clean-run \
-             throughput-floor check against EBR; selecting DBR also runs \
-             the stall comparison panel (DBR vs EBR/IBR/HYB).")
+             Selecting the neutralizing DEBRA+ scheme (debra or DBR) \
+             additionally runs the clean-run throughput-floor check \
+             against EBR and the stall comparison panel (DBR vs \
+             EBR/IBR).")
   in
   cmd_of "chaos"
     "Fault-injection validation: memory bounds under stalls, plus fuzzing"
@@ -284,7 +284,6 @@ let chaos_cmd =
           preflight_json json;
           let scheme_name =
             match String.lowercase_ascii scheme_name with
-            | "hybrid" -> "HYB"
             | "debra" -> "DBR"
             | _ -> scheme_name
           in
@@ -310,12 +309,11 @@ let chaos_cmd =
             | _ -> (false, [])
           in
           let cmp_threads = List.fold_left max 2 threads_list in
-          (* Second acceptance criterion for the schemes that add stall
-             machinery (HYB's escalated sweep, DBR's neutralization
-             checkpoints): no stall, clean-run throughput within 10% of
-             EBR. *)
+          (* Second acceptance criterion for a scheme that adds stall
+             machinery (DBR's neutralization checkpoints): no stall,
+             clean-run throughput within 10% of EBR. *)
           let floor =
-            if scheme_name = "HYB" || neutralizing then
+            if neutralizing then
               List.map
                 (fun s ->
                   Harness.Experiments.clean_floor ~structure
@@ -325,7 +323,7 @@ let chaos_cmd =
           in
           (* The DBR headline artifact: the same stall, DBR next to the
              era/interval schemes (bounded-via-neutralization vs growing
-             EBR vs bounded-via-tracking IBR/HYB). *)
+             EBR vs bounded-via-tracking IBR). *)
           let stall_cmp =
             if neutralizing then
               [
@@ -457,7 +455,7 @@ let serve_cmd =
       value & opt string "HLN"
       & info [ "scheme" ] ~docv:"NAME"
           ~doc:
-            "SMR scheme for every shard (NR, EBR, HP, ..., HLN, HYB, DBR).")
+            "SMR scheme for every shard (NR, EBR, HP, ..., HLN, DBR).")
   in
   let shards =
     Arg.(
@@ -564,14 +562,13 @@ let serve_cmd =
             if phases = "" then []
             else parse "phases" Harness.Workload.phases_of_string phases
           in
-          let modes =
+          let single =
             match String.lowercase_ascii mode with
-            | "both" -> [ Scotstore.Serve.Per_op; Scotstore.Serve.Batched ]
+            | "both" -> None
             | m ->
-                [
-                  lookup "serve" "mode" ~hint:" (per-op, batched, both)"
-                    Scotstore.Serve.mode_of_string m;
-                ]
+                Some
+                  (lookup "serve" "mode" ~hint:" (per-op, batched, both)"
+                     Scotstore.Serve.mode_of_string m)
           in
           let shards = if smoke then 2 else shards in
           let workers = if smoke then 2 else workers in
@@ -606,38 +603,32 @@ let serve_cmd =
           in
           let module Sv = Scotstore.Serve in
           let repeats = max 1 cfg.Harness.Experiments.repeats in
-          (* The host is a noisy single core, so the modes are
-             interleaved within each [-r] round — all of one mode's
-             repeats landing before the other's would bias the ratio by
-             whatever the machine was doing at the time.  The speedup is
-             the median of per-round batched/per-op ratios, and the
-             reported rows are that median round, so the artifact
-             carries a consistent pair.  Verdicts must hold on EVERY
-             repeat regardless of which round is reported. *)
-          let rounds =
-            List.init repeats (fun _ ->
-                List.map (fun m -> (m, Sv.run sc m)) modes)
+          (* With both modes, the [-r] repeats are interleaved pairs
+             scored by [Experiments.paired_median]: the speedup is the
+             median of per-round batched/per-op ratios, and the reported
+             rows are that median round, so the artifact carries a
+             consistent pair.  Verdicts must hold on EVERY repeat
+             regardless of which round is reported. *)
+          let pair (p, b) = [ (Sv.Per_op, p); (Sv.Batched, b) ] in
+          let rounds, speedup, results =
+            match single with
+            | None ->
+                let rounds, round, speedup =
+                  Harness.Experiments.paired_median ~pairs:repeats
+                    ~ratio:(fun ((p : Sv.result), (b : Sv.result)) ->
+                      b.r_throughput /. p.r_throughput)
+                    (fun () -> Sv.run sc Sv.Per_op)
+                    (fun () -> Sv.run sc Sv.Batched)
+                in
+                (List.map pair rounds, Some speedup, pair round)
+            | Some mode ->
+                let runs = List.init repeats (fun _ -> Sv.run sc mode) in
+                ( List.map (fun r -> [ (mode, r) ]) runs,
+                  None,
+                  [ (mode, Harness.Experiments.median_by
+                             (fun r -> r.Sv.r_throughput) runs) ] )
           in
           let per_mode m = List.map (List.assoc m) rounds in
-          let median_by f rs =
-            let sorted = List.sort (fun a b -> compare (f a) (f b)) rs in
-            List.nth sorted (List.length sorted / 2)
-          in
-          let speedup, results =
-            if List.length modes = 2 then
-              let ratio round =
-                (List.assoc Sv.Batched round).Sv.r_throughput
-                /. (List.assoc Sv.Per_op round).Sv.r_throughput
-              in
-              let round = median_by ratio rounds in
-              (Some (ratio round), round)
-            else
-              ( None,
-                List.map
-                  (fun m ->
-                    (m, median_by (fun r -> r.Sv.r_throughput) (per_mode m)))
-                  modes )
-          in
           let results =
             List.map
               (fun (m, (r : Sv.result)) ->
@@ -729,7 +720,7 @@ let pressure_cmd =
       & info [ "scheme" ] ~docv:"NAME"
           ~doc:
             "Run a single scheme (enforcing if robust, monitor-only \
-             otherwise).  Default: the verdict panel — DBR, HYB, IBR \
+             otherwise).  Default: the verdict panel — DBR, IBR \
              enforcing plus EBR as the monitor-only negative control.")
   in
   let shards =
@@ -813,7 +804,7 @@ let pressure_cmd =
              negative control (the store derives enforcement from the
              scheme). *)
           let panel =
-            if scheme = "" then [ "DBR"; "HYB"; "IBR"; "EBR" ]
+            if scheme = "" then [ "DBR"; "IBR"; "EBR" ]
             else
               let (module S : Smr.Smr_intf.S) =
                 lookup "pressure" "scheme" Smr.Registry.find scheme
@@ -837,13 +828,15 @@ let pressure_cmd =
           let drain = if smoke then 0.5 else drain in
           let run_one name =
             let sm = Smr.Registry.find_exn name in
-            (* DBR needs a wider neutralization window here: the parked
+            (* A neutralizing scheme (DBR) needs a wider neutralization
+               window here: the parked
                extras sit at a read probe, so with the default
                neutralize_after their announcements are delivered almost
                immediately and the scheme never builds enough limbo to
                exercise the state machine. *)
             let config =
-              if name = "DBR" then
+              if (Smr.Registry.capabilities sm).Smr.Smr_intf.neutralizing
+              then
                 (* workers + 1: the store registers one extra client
                    slot for the coordinator's synchronous sweeps. *)
                 Some

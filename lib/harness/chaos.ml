@@ -361,15 +361,6 @@ let mem_bound (module S : Smr.Smr_intf.S) ~(config : Smr.Smr_intf.config)
       else per_thread
     in
     let per_stall = if hp then slots else range + (2 * config.epoch_freq) in
-    (* HYB's clean-mode sweep uses the single-bound (min active lower)
-       predicate, which pins every retire since the straggler began until
-       the lag crosses [stale_eras] and the pass escalates to the full
-       interval sweep: one extra window of [stale_eras] era bumps' worth
-       of retires per stalled reservation. *)
-    let per_stall =
-      if S.name = "HYB" then per_stall + (config.stale_eras * config.epoch_freq)
-      else per_stall
-    in
     (* A neutralizing scheme (DBR) pins nothing once the signal is
        delivered, but delivery waits for the laggard to fall
        [neutralize_after] epochs behind: one window of that many era

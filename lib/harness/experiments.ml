@@ -36,20 +36,36 @@ let quick_cfg =
 
 let all_schemes = Smr.Registry.all
 
-(* Median by throughput.  With an even number of repeats there is no middle
-   element; taking the upper-middle (as an earlier version did) biases the
-   reported median upward, so we consistently take the lower-middle run —
-   its fields stay those of one coherent real run, unlike averaging. *)
-let median_result (rs : Runner.result list) =
-  match rs with
-  | [] -> invalid_arg "Experiments.median_result: empty result list"
-  | _ ->
-      let sorted =
-        List.sort
-          (fun (a : Runner.result) b -> compare a.throughput b.throughput)
-          rs
-      in
+(* Median by [key].  With an even count there is no middle element;
+   taking the upper-middle biases the reported median upward, so we
+   consistently take the lower-middle element — its fields stay those of
+   one coherent real run, unlike averaging. *)
+let median_by key = function
+  | [] -> invalid_arg "Experiments.median_by: empty list"
+  | xs ->
+      let sorted = List.sort (fun a b -> compare (key a) (key b)) xs in
       List.nth sorted ((List.length sorted - 1) / 2)
+
+let median_result rs = median_by (fun (r : Runner.result) -> r.throughput) rs
+
+(* A ratio of two throughputs on a noisy shared host is scored over
+   interleaved pairs, never over one run of each side: [pairs] rounds of
+   one [a] and one [b] run, alternating which side goes first so neither
+   always inherits the other's warm (or cold) machine.  The score is the
+   median of the per-pair [ratio]s, and the median pair is returned with
+   it so a report carries two numbers from the same round. *)
+let paired_median ~pairs ~ratio a b =
+  let rounds =
+    List.init pairs (fun i ->
+        if i mod 2 = 0 then
+          let x = a () in
+          (x, b ())
+        else
+          let y = b () in
+          (a (), y))
+  in
+  let mid = median_by ratio rounds in
+  (rounds, mid, ratio mid)
 
 let run_one cfg ~builder ~scheme ~threads ~range ?mix () =
   (* One recorder set shared across the repeats: [Runner.run] resets and
@@ -567,9 +583,9 @@ let chaos_run_json (c : chaos_run) =
     ]
 
 (* Clean-run acceptance floor: with no fault injected, a scheme that adds
-   stall machinery (the stall-aware HYB, the neutralizing DBR) must not
-   give back the cheap path's win — clean-run throughput stays within 10%
-   of EBR on the same workload. *)
+   stall machinery (the neutralizing DBR) must not give back the cheap
+   path's win — clean-run throughput stays within 10% of EBR on the same
+   workload, as the median ratio of [floor_pairs] interleaved pairs. *)
 
 type floor_run = {
   fl_structure : string;
@@ -583,22 +599,27 @@ type floor_run = {
   fl_ok : bool;
 }
 
+let floor_pairs = 5
+
 let clean_floor ?(structure = "HList") ?(threads = 4) ?(range = 256)
     ?(duration = 1.0) ~scheme:(module S : Smr.Smr_intf.S) () =
   Report.section
     (Printf.sprintf
-       "Clean-run floor: throughput vs EBR (no stall, %s >= 0.9x)" S.name);
+       "Clean-run floor: throughput vs EBR (no stall, %s >= 0.9x, median \
+        of %d pairs)"
+       S.name floor_pairs);
   let builder = Instance.find_builder_exn structure in
-  let one scheme =
+  let one scheme () =
     Runner.run ~check:false ~measure_latency:false ~builder ~scheme ~threads
       ~range ~duration ()
   in
-  let r = one (module S : Smr.Smr_intf.S) in
-  let ebr = one (Smr.Registry.find_exn "EBR") in
-  let ratio =
-    if ebr.Runner.throughput > 0.0 then
-      r.Runner.throughput /. ebr.Runner.throughput
-    else infinity
+  let _, (r, ebr), ratio =
+    paired_median ~pairs:floor_pairs
+      ~ratio:(fun ((r : Runner.result), (ebr : Runner.result)) ->
+        if ebr.throughput > 0.0 then r.throughput /. ebr.throughput
+        else infinity)
+      (one (module S : Smr.Smr_intf.S))
+      (one (Smr.Registry.find_exn "EBR"))
   in
   let run =
     {
@@ -645,11 +666,11 @@ let floor_run_json (f : floor_run) =
 (* The DBR headline artifact: the same one-stalled-reader chaos run for a
    panel of schemes side by side.  DBR's neutralization delivers once the
    laggard falls [neutralize_after] epochs behind, so its gauge flattens
-   where EBR's grows; IBR/HYB bound it too but keep paying per-era
+   where EBR's grows; IBR bounds it too but keeps paying per-era
    tracking.  Returns the underlying chaos runs in panel order. *)
 let stall_comparison ?(structure = "HList") ?(threads = 4) ?(stalled = 1)
     ?(point = "read") ?(range = 256) ?(duration = 1.0)
-    ?(schemes = [ "DBR"; "EBR"; "IBR"; "HYB" ]) () =
+    ?(schemes = [ "DBR"; "EBR"; "IBR" ]) () =
   Report.section
     (Printf.sprintf
        "Stall comparison (%d stalled at '%s'): DBR neutralization vs \

@@ -16,10 +16,22 @@ type cfg = {
 val default_cfg : cfg
 val quick_cfg : cfg
 
+val median_by : ('a -> float) -> 'a list -> 'a
+(** The element with median [key]; for an even count the lower-middle
+    element is taken (consistently), avoiding the upward bias of
+    upper-middle.  Raises [Invalid_argument] on an empty list. *)
+
 val median_result : Runner.result list -> Runner.result
-(** The run with median throughput; for an even count the lower-middle run
-    is taken (consistently), avoiding the upward bias of upper-middle.
-    Raises [Invalid_argument] on an empty list. *)
+(** [median_by] throughput. *)
+
+val paired_median :
+  pairs:int -> ratio:('a * 'b -> float) -> (unit -> 'a) -> (unit -> 'b) ->
+  ('a * 'b) list * ('a * 'b) * float
+(** [paired_median ~pairs ~ratio a b] runs [pairs] interleaved rounds of
+    one [a] and one [b], alternating which side runs first, and returns
+    every round, the median round by [ratio], and that median ratio.  The
+    one method for scoring a throughput ratio on a noisy host (the
+    clean-run floor, [serve --mode both]). *)
 
 val cfg_meta : cfg -> (string * Json.t) list
 (** The ["config"] metadata pair embedded in BENCH artifacts. *)
@@ -137,21 +149,22 @@ val chaos_run_json : chaos_run -> Json.t
 
 type floor_run = {
   fl_structure : string;
-  fl_scheme : string;  (** the scheme under test (HYB, DBR, ...) *)
+  fl_scheme : string;  (** the scheme under test (DBR) *)
   fl_threads : int;
   fl_range : int;
   fl_duration : float;
-  fl_throughput : float;
-  fl_ebr_throughput : float;
-  fl_ratio : float;  (** scheme / EBR *)
+  fl_throughput : float;  (** of the median pair *)
+  fl_ebr_throughput : float;  (** of the median pair *)
+  fl_ratio : float;  (** median of the per-pair scheme / EBR ratios *)
   fl_ok : bool;  (** ratio >= 0.9 *)
 }
 
-(** Clean (no-fault) runs of [scheme] and EBR on the same workload; the
-    acceptance criterion for a scheme that adds stall machinery (HYB's
-    escalated sweep, DBR's neutralization checkpoints) is staying within
-    10% of EBR's throughput when no straggler exercises it.  Prints the
-    two-row table and returns the verdict. *)
+(** Clean (no-fault) runs of [scheme] and EBR on the same workload, as
+    five interleaved pairs scored by {!paired_median}; the
+    acceptance criterion for a scheme that adds stall machinery (DBR's
+    neutralization checkpoints) is staying within 10% of EBR's throughput
+    when no straggler exercises it.  Prints the median pair's two-row
+    table and returns the verdict. *)
 val clean_floor :
   ?structure:string ->
   ?threads:int ->
@@ -167,9 +180,9 @@ val floor_run_json : floor_run -> Json.t
 (** {2 Stall comparison: neutralization vs era/interval tracking} *)
 
 (** The DBR headline artifact: the same one-stalled-reader chaos run for a
-    panel of schemes (default DBR, EBR, IBR, HYB) side by side — DBR's
-    gauge flattens once neutralization delivers, EBR's grows, IBR/HYB
-    bound it with per-era tracking.  Returns the chaos runs in panel
+    panel of schemes (default DBR, EBR, IBR) side by side — DBR's gauge
+    flattens once neutralization delivers, EBR's grows, IBR bounds it
+    with per-era tracking.  Returns the chaos runs in panel
     order. *)
 val stall_comparison :
   ?structure:string ->

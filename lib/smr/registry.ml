@@ -11,7 +11,6 @@ let all : scheme list =
     (module He);
     (module Ibr);
     (module Hyaline);
-    (module Hybrid);
     (module Debra);
   ]
 

@@ -3,9 +3,9 @@
 type scheme = (module Smr_intf.S)
 
 val all : scheme list
-(** All nine schemes: the paper's seven in its order — NR, EBR, HP,
-    HPopt, HE, IBR, HLN (Hyaline-1S) — plus the composed stall-aware
-    hybrid HYB and the neutralizing DBR (DEBRA+). *)
+(** All eight schemes: the paper's seven in its order — NR, EBR, HP,
+    HPopt, HE, IBR, HLN (Hyaline-1S) — plus the neutralizing DBR
+    (DEBRA+). *)
 
 val capabilities : scheme -> Smr_intf.capabilities
 (** A scheme's capability record, without unpacking the module. *)

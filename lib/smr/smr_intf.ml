@@ -1,5 +1,5 @@
 (* Common interface implemented by every SMR scheme (NR, EBR, HP, HPopt, HE,
-   IBR, Hyaline-1S, HYB, DBR).
+   IBR, Hyaline-1S, DBR).
 
    The shape follows the tracker API of the benchmark the paper extends
    (Hazard Eras / IBR test harness): [start_op]/[end_op] bracket each
@@ -63,10 +63,6 @@ type config = {
          `On bounds: each handle runs a feedback controller that widens
          the threshold on empty sweeps and tightens it on gauge growth,
          clamped to [bounds]. *)
-  stale_eras : int;
-      (* Hybrid only: how many eras a reservation may lag the global era
-         before reclamation escalates from the cheap single-bound sweep
-         to the full IBR interval sweep. *)
   neutralize_after : int;
       (* DBR only: how many epochs an announcement may lag the global
          epoch before a reclaimer posts a neutralization into it.  Small
@@ -80,7 +76,6 @@ let default_config ~threads =
     epoch_freq = 12 * threads;
     batch_size = 32;
     adaptive = `Off;
-    stale_eras = 8;
     neutralize_after = 4;
   }
 
@@ -101,7 +96,7 @@ let positive_field name v =
          name v);
   v
 
-let make_config ?limbo_threshold ?epoch_freq ?batch_size ?adaptive ?stale_eras
+let make_config ?limbo_threshold ?epoch_freq ?batch_size ?adaptive
     ?neutralize_after ~threads () =
   let d = default_config ~threads:(positive_field "threads" threads) in
   let limbo_threshold =
@@ -142,44 +137,23 @@ let make_config ?limbo_threshold ?epoch_freq ?batch_size ?adaptive ?stale_eras
   let epoch_freq =
     positive_field "epoch_freq" (Option.value epoch_freq ~default:d.epoch_freq)
   in
-  let stale_eras_given = Option.is_some stale_eras in
-  let stale_eras =
-    positive_field "stale_eras" (Option.value stale_eras ~default:d.stale_eras)
-  in
-  (* The hybrid escalates to its interval sweep only once a reservation
-     lags the era by [stale_eras] — a staleness window of roughly
-     [stale_eras * epoch_freq] retires (see lib/smr/hybrid.ml).  Under an
-     adaptive config, [max_threshold] is the memory-side cap the tuner is
-     allowed to widen to; a staleness window beyond that cap means the
-     cheap clean-mode predicate can pin more nodes than the cap admits
-     before escalation can ever fire, silently forfeiting the robustness
-     the caller asked for.  Only an explicitly chosen [stale_eras] is
-     checked: the default window is calibration-compatible (measurement
-     configs park the era machinery with [epoch_freq = max_int]).
-     Compared by division — the product overflows for such configs. *)
-  (match adaptive with
-  | `On b when stale_eras_given && stale_eras > b.max_threshold / epoch_freq ->
-      invalid_arg
-        (Printf.sprintf
-           "Smr_intf.make_config: stale_eras (%d) x epoch_freq (%d) exceeds \
-            the adaptive max_threshold (%d): escalation could never fire \
-            below the memory cap"
-           stale_eras epoch_freq b.max_threshold)
-  | _ -> ());
   let neutralize_after_given = Option.is_some neutralize_after in
   let neutralize_after =
     positive_field "neutralize_after"
       (Option.value neutralize_after ~default:d.neutralize_after)
   in
-  (* Same window argument as [stale_eras] above, for the neutralizing
-     scheme: a reclaimer posts to an announcement only once it lags the
-     epoch by [neutralize_after] — a neutralization-latency window of
-     roughly [neutralize_after * epoch_freq] retires that the laggard may
-     pin before its restart can be requested.  Under an adaptive config a
-     window beyond [max_threshold] means the laggard can pin more than
-     the memory cap admits before DBR's one robustness lever ever fires.
-     Only an explicitly chosen value is checked, and by division, for the
-     same calibration/overflow reasons as [stale_eras]. *)
+  (* A reclaimer posts to an announcement only once it lags the epoch by
+     [neutralize_after] — a neutralization-latency window of roughly
+     [neutralize_after * epoch_freq] retires that the laggard may pin
+     before its restart can be requested.  Under an adaptive config,
+     [max_threshold] is the memory-side cap the tuner is allowed to widen
+     to; a window beyond it means the laggard can pin more than the cap
+     admits before DBR's one robustness lever ever fires, silently
+     forfeiting the robustness the caller asked for.  Only an explicitly
+     chosen [neutralize_after] is checked: the default window is
+     calibration-compatible (measurement configs park the era machinery
+     with [epoch_freq = max_int]).  Compared by division — the product
+     overflows for such configs. *)
   (match adaptive with
   | `On b
     when neutralize_after_given
@@ -196,7 +170,6 @@ let make_config ?limbo_threshold ?epoch_freq ?batch_size ?adaptive ?stale_eras
     epoch_freq;
     batch_size;
     adaptive;
-    stale_eras;
     neutralize_after;
   }
 

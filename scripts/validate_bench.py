@@ -135,9 +135,9 @@ TUNE_RUN_KEYS = {
 
 TUNE_MODES = ("static", "oracle", "adaptive")
 
-# `scotbench chaos --scheme hybrid` / `--scheme debra` additionally
-# emits one "kind": "floor" run: the selected scheme's clean-run
-# throughput against EBR (the >= 0.9x acceptance floor).
+# `scotbench chaos --scheme debra` additionally emits one "kind":
+# "floor" run: DBR's clean-run throughput against EBR (the >= 0.9x
+# acceptance floor, scored as the median ratio of interleaved pairs).
 FLOOR_RUN_KEYS = {
     "kind": str,
     "structure": str,

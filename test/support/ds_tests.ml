@@ -5,7 +5,9 @@
    - model-based random testing against [Stdlib.Set] (qcheck),
    - a concurrent key-partition test where each thread owns a residue class
      of keys and the final contents are exactly predictable,
-   - a concurrent mixed stress with invariant checking and fault detection.
+   - a concurrent mixed stress with invariant checking and fault detection,
+   - crash recovery of one thread's handle (adopted limbo drains, the
+     replacement handle works).
 *)
 
 let check = Alcotest.(check bool)
@@ -186,6 +188,46 @@ let aggressive_reclaim_stress ?(threads = 4) ?(range = 8) ?(ops = 20_000)
   List.iter Domain.join doms;
   i.check_invariants ()
 
+(* --- crash recovery: the dead thread's limbo is adopted and drained ---
+
+   Thread 1 churns and "dies" holding its limbo (threshold and batch are
+   wide enough that no pass ran); [recover] must hand the tid a working
+   replacement handle without changing logical contents, and a
+   recoverable scheme must reclaim every adopted node.  NR never
+   reclaims, so its gauge keeps them. *)
+let recover_semantics builder scheme () =
+  let config =
+    Smr.Smr_intf.make_config ~limbo_threshold:64 ~epoch_freq:4
+      ~batch_size:64 ~threads:2 ()
+  in
+  let i = builder.Harness.Instance.build scheme ~threads:2 ~config () in
+  for k = 0 to 31 do
+    ignore (i.Harness.Instance.insert ~tid:1 k)
+  done;
+  for k = 0 to 15 do
+    ignore (i.Harness.Instance.delete ~tid:1 (2 * k))
+  done;
+  let orphaned = i.unreclaimed () in
+  check "victim died holding limbo" true (orphaned > 0);
+  i.recover ~tid:1;
+  if i.capabilities.Smr.Smr_intf.recoverable then
+    check_int "adopted limbo drained" 0 (i.unreclaimed ())
+  else check "orphaned limbo kept" true (i.unreclaimed () >= orphaned);
+  for k = 0 to 31 do
+    let odd = k mod 2 = 1 in
+    check (Printf.sprintf "key %d (survivor)" k) odd
+      (i.Harness.Instance.search ~tid:0 k);
+    check (Printf.sprintf "key %d (replacement)" k) odd
+      (i.Harness.Instance.search ~tid:1 k)
+  done;
+  check "replacement inserts" true (i.Harness.Instance.insert ~tid:1 0);
+  check "replacement deletes" true (i.Harness.Instance.delete ~tid:1 1);
+  i.check_invariants ();
+  check_int "size after recovery" 16 (i.size ());
+  i.teardown ();
+  if i.capabilities.Smr.Smr_intf.recoverable then
+    check_int "teardown drains" 0 (i.unreclaimed ())
+
 (* Standard suite for one builder across schemes. *)
 let full_suite ?(schemes = Smr.Registry.all) builder =
   let scheme_name (module S : Smr.Smr_intf.S) = S.name in
@@ -225,6 +267,15 @@ let full_suite ?(schemes = Smr.Registry.all) builder =
           (aggressive_reclaim_stress builder s))
       schemes
   in
+  let recover =
+    List.map
+      (fun s ->
+        Alcotest.test_case
+          (Printf.sprintf "recover (%s)" (scheme_name s))
+          `Quick
+          (recover_semantics builder s))
+      schemes
+  in
   let props =
     List.map
       (fun s -> QCheck_alcotest.to_alcotest (model_based builder s))
@@ -235,5 +286,6 @@ let full_suite ?(schemes = Smr.Registry.all) builder =
     ("concurrent-partition", partition);
     ("concurrent-stress", stress);
     ("aggressive-reclaim", aggressive);
+    ("recover", recover);
     ("model-based", props);
   ]

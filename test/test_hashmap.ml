@@ -121,4 +121,16 @@ let () =
             test_concurrent_partition;
           Alcotest.test_case "bucket validation" `Quick test_bucket_validation;
         ] );
+      (* Recovery re-registers the map's one SMR handle per tid and must
+         rebuild every bucket handle on it, under every scheme. *)
+      ( "recover",
+        List.map
+          (fun ((module S : Smr.Smr_intf.S) as s) ->
+            Alcotest.test_case
+              (Printf.sprintf "recover (%s)" S.name)
+              `Quick
+              (Test_support.Ds_tests.recover_semantics
+                 (Harness.Instance.find_builder_exn "HashMap")
+                 s))
+          Smr.Registry.all );
     ]

@@ -173,6 +173,34 @@ let test_median_repeats () =
   | _ -> Alcotest.fail "empty repeats accepted"
   | exception Invalid_argument _ -> ()
 
+(* Paired ratios alternate which side runs first and score the median
+   per-pair ratio, returning the pair it came from. *)
+let test_paired_median () =
+  let order = ref [] in
+  let side name values =
+    let next = ref values in
+    fun () ->
+      order := name :: !order;
+      match !next with
+      | v :: rest ->
+          next := rest;
+          v
+      | [] -> Alcotest.fail "paired_median ran too many rounds"
+  in
+  let rounds, pair, ratio =
+    Harness.Experiments.paired_median ~pairs:5
+      ~ratio:(fun (a, b) -> a /. b)
+      (side "a" [ 5.0; 1.0; 3.0; 9.0; 2.0 ])
+      (side "b" [ 1.0; 1.0; 1.0; 1.0; 1.0 ])
+  in
+  Alcotest.(check (list string))
+    "alternating order"
+    [ "a"; "b"; "b"; "a"; "a"; "b"; "b"; "a"; "a"; "b" ]
+    (List.rev !order);
+  check_int "every round kept" 5 (List.length rounds);
+  Alcotest.(check (float 0.0)) "median ratio" 3.0 ratio;
+  Alcotest.(check (pair (float 0.0) (float 0.0))) "median pair" (3.0, 1.0) pair
+
 (* --- histogram buckets --- *)
 
 let test_bucket_of_ns () =
@@ -331,7 +359,10 @@ let () =
           Alcotest.test_case "histogram buckets" `Quick test_bucket_of_ns;
         ] );
       ( "aggregation",
-        [ Alcotest.test_case "median repeats 1-4" `Quick test_median_repeats ]
+        [
+          Alcotest.test_case "median repeats 1-4" `Quick test_median_repeats;
+          Alcotest.test_case "paired median" `Quick test_paired_median;
+        ]
       );
       ( "fault path",
         [

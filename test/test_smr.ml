@@ -386,7 +386,7 @@ let test_era_stamping (module S : Smr.Smr_intf.S) () =
   S.retire th (reclaimable h);
   let uses_eras =
     match S.name with
-    | "HE" | "IBR" | "HLN" | "EBR" | "HYB" | "DBR" -> true
+    | "HE" | "IBR" | "HLN" | "EBR" | "DBR" -> true
     | _ -> false
   in
   if uses_eras then
@@ -442,7 +442,7 @@ let config_huge_adaptive =
 (* The HList operation fast paths must allocate zero minor words once the
    node pool is warm: staged protected loads, canonical link records,
    prebuilt retire records and handle-owned traversal scratch leave nothing
-   to cons.  Asserted for EBR/HP/HPopt/HE/IBR/HYB; NR's insert legitimately
+   to cons.  Asserted for EBR/HP/HPopt/HE/IBR/DBR; NR's insert legitimately
    allocates (it never reclaims, so the freelist stays empty) and
    Hyaline-1S pays a by-design per-op cons for its batch reference. *)
 let test_zero_alloc_ops_with ~config (module S : Smr.Smr_intf.S) () =
@@ -476,7 +476,7 @@ let test_zero_alloc_ops_with ~config (module S : Smr.Smr_intf.S) () =
   in
   let assertable =
     match S.name with
-    | "EBR" | "HP" | "HPopt" | "HE" | "IBR" | "HYB" | "DBR" -> true
+    | "EBR" | "HP" | "HPopt" | "HE" | "IBR" | "DBR" -> true
     | _ -> false
   in
   (* Full searches across hits, misses and the whole key range. *)
@@ -663,8 +663,6 @@ let test_make_config_validation () =
       Smr.Smr_intf.make_config ~epoch_freq:(-4) ~threads:1 ());
   expect_invalid "batch_size" (fun () ->
       Smr.Smr_intf.make_config ~batch_size:(-1) ~threads:1 ());
-  expect_invalid "stale_eras" (fun () ->
-      Smr.Smr_intf.make_config ~stale_eras:0 ~threads:1 ());
   expect_invalid "neutralize_after" (fun () ->
       Smr.Smr_intf.make_config ~neutralize_after:0 ~threads:1 ());
   (* A threshold below the batch size silently under-fills Hyaline
@@ -692,15 +690,24 @@ let test_make_config_validation () =
       check "error names neutralize_after" true (contains msg "neutralize_after");
       check "error names max_threshold" true (contains msg "max_threshold"));
   (* The same window is fine when it fits under the cap, and an
-     un-chosen default is never second-guessed. *)
+     un-chosen default is never second-guessed — including under the
+     calibration configs' [epoch_freq = max_int], where any window
+     exceeds [max_threshold / epoch_freq = 0]. *)
   ignore
     (Smr.Smr_intf.make_config
        ~adaptive:(`On { Smr.Smr_intf.min_threshold = 32; max_threshold = 128 })
        ~epoch_freq:16 ~neutralize_after:8 ~threads:1 ());
-  ignore
-    (Smr.Smr_intf.make_config
-       ~adaptive:(`On { Smr.Smr_intf.min_threshold = 32; max_threshold = 128 })
-       ~epoch_freq:64 ~threads:1 ());
+  List.iter
+    (fun epoch_freq ->
+      let c =
+        Smr.Smr_intf.make_config
+          ~adaptive:
+            (`On { Smr.Smr_intf.min_threshold = 32; max_threshold = 128 })
+          ~epoch_freq ~threads:1 ()
+      in
+      check_int "defaulted neutralize_after bypasses the window check" 4
+        c.Smr.Smr_intf.neutralize_after)
+    [ 64; max_int ];
   expect_invalid "min_threshold" (fun () ->
       Smr.Smr_intf.make_config
         ~adaptive:
@@ -718,32 +725,6 @@ let test_make_config_validation () =
         ~adaptive:
           (`On { Smr.Smr_intf.min_threshold = 8; max_threshold = 128 })
         ~batch_size:16 ~threads:1 ());
-  (* An explicit staleness window wider than the adaptive memory cap means
-     the hybrid's escalation could never fire below the cap: with
-     [epoch_freq = 64], [stale_eras = 100] is a ~6400-retire window
-     against a 1024-node max_threshold.  Must be rejected naming
-     stale_eras. *)
-  expect_invalid "stale_eras" (fun () ->
-      Smr.Smr_intf.make_config ~epoch_freq:64 ~stale_eras:100
-        ~adaptive:
-          (`On { Smr.Smr_intf.min_threshold = 64; max_threshold = 1024 })
-        ~batch_size:32 ~threads:1 ());
-  (* The boundary case (window = cap exactly) and the defaulted
-     [stale_eras] (calibration configs use [epoch_freq = max_int]) must
-     both stay accepted. *)
-  let c =
-    Smr.Smr_intf.make_config ~epoch_freq:64 ~stale_eras:16
-      ~adaptive:(`On { Smr.Smr_intf.min_threshold = 64; max_threshold = 1024 })
-      ~batch_size:32 ~threads:1 ()
-  in
-  check_int "boundary staleness window accepted" 16 c.Smr.Smr_intf.stale_eras;
-  let c =
-    Smr.Smr_intf.make_config ~epoch_freq:max_int
-      ~adaptive:(`On { Smr.Smr_intf.min_threshold = 64; max_threshold = 1024 })
-      ~batch_size:32 ~threads:1 ()
-  in
-  check_int "defaulted stale_eras bypasses the window check" 8
-    c.Smr.Smr_intf.stale_eras;
   let c =
     Smr.Smr_intf.make_config ~limbo_threshold:1 ~epoch_freq:1 ~batch_size:1
       ~threads:1 ()
@@ -806,17 +787,17 @@ let test_tuner_static_off () =
 
 (* Registry sanity. *)
 let test_registry () =
-  check_int "nine schemes" 9 (List.length Smr.Registry.all);
+  check "the paper's seven plus DBR" true
+    (Smr.Registry.names
+    = [ "NR"; "EBR"; "HP"; "HPopt"; "HE"; "IBR"; "HLN"; "DBR" ]);
   check "find is case-insensitive" true
     (match Smr.Registry.find "hpopt" with Some _ -> true | None -> false);
-  check "hybrid is registered" true
-    (match Smr.Registry.find "hyb" with Some _ -> true | None -> false);
   check "debra is registered" true
     (match Smr.Registry.find "dbr" with Some _ -> true | None -> false);
   (match Smr.Registry.find_exn "nope" with
   | _ -> Alcotest.fail "unknown scheme accepted"
   | exception Invalid_argument _ -> ());
-  check_int "seven robust schemes" 7
+  check_int "six robust schemes" 6
     (List.length Smr.Registry.robust_schemes);
   check "DBR is the one neutralizing scheme" true
     (List.for_all
