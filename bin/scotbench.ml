@@ -5,42 +5,33 @@
      scotbench all --quick
      scotbench fig8 --range 512 --threads 1,2,4,8 --duration 2
      scotbench run --structure HList --scheme HP --threads 4 --range 10000
-     scotbench all --quick --json BENCH_all.json --json-dir results/
+     scotbench all --quick --json BENCH_all.json
 
    [--json PATH] writes one machine-readable BENCH artifact covering every
-   run of the invoked command (schema documented in EXPERIMENTS.md);
-   [--json-dir DIR] additionally drops one BENCH_<experiment>.json per
-   experiment, next to the [--csv-dir] CSVs. *)
+   run of the invoked command (schema documented in EXPERIMENTS.md).  Each
+   command takes only the flags it reads. *)
 
 open Cmdliner
 
-let threads_arg =
-  let doc = "Comma-separated list of thread counts." in
+(* [-t] and [-d] are optional: each command documents what their absence
+   means, and [--quick]/[--smoke] fill in only the values left out. *)
+let threads_arg ~absent =
   Arg.(
     value
-    & opt (list int) Harness.Experiments.default_cfg.threads
-    & info [ "t"; "threads" ] ~docv:"N,N,..." ~doc)
+    & opt (some (list int)) None
+    & info [ "t"; "threads" ] ~absent ~docv:"N,N,..."
+        ~doc:"Comma-separated list of thread counts.")
 
-let duration_arg =
-  let doc = "Seconds per benchmark run (paper: 10)." in
+let duration_arg ~absent =
   Arg.(
     value
-    & opt float Harness.Experiments.default_cfg.duration
-    & info [ "d"; "duration" ] ~docv:"SEC" ~doc)
+    & opt (some float) None
+    & info [ "d"; "duration" ] ~absent ~docv:"SEC"
+        ~doc:"Seconds per benchmark run (paper: 10).")
 
 let repeats_arg =
   let doc = "Independent runs per data point; the median is reported (paper: 5)." in
   Arg.(value & opt int 1 & info [ "r"; "repeats" ] ~docv:"N" ~doc)
-
-let csv_arg =
-  let doc = "Directory to write raw CSV results into." in
-  Arg.(
-    value & opt (some string) None & info [ "csv-dir" ] ~docv:"DIR" ~doc)
-
-let json_dir_arg =
-  let doc = "Directory to write per-experiment BENCH_<name>.json artifacts into." in
-  Arg.(
-    value & opt (some string) None & info [ "json-dir" ] ~docv:"DIR" ~doc)
 
 let json_arg =
   let doc =
@@ -50,47 +41,42 @@ let json_arg =
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
 
 let quick_arg =
-  let doc = "Short runs with reduced parameters (smoke-level)." in
+  let doc =
+    "Short runs with reduced parameters (smoke-level) for every value not \
+     given explicitly."
+  in
   Arg.(value & flag & info [ "quick" ] ~doc)
 
 let fig12_range_arg =
-  let doc =
-    "Key range for Figure 12 (paper: 50,000,000; scaled default 1,000,000)."
-  in
   Arg.(
     value
-    & opt int Harness.Experiments.default_cfg.fig12_range
-    & info [ "fig12-range" ] ~docv:"N" ~doc)
+    & opt (some int) None
+    & info [ "fig12-range" ] ~docv:"N"
+        ~absent:"1000000, or 100000 with $(b,--quick)"
+        ~doc:"Key range for Figure 12 (paper: 50,000,000).")
 
-let cfg_term =
-  let make threads duration repeats csv_dir json_dir quick fig12_range =
-    let base =
-      if quick then Harness.Experiments.quick_cfg
-      else Harness.Experiments.default_cfg
-    in
+let preset quick =
+  if quick then Harness.Experiments.quick_cfg
+  else Harness.Experiments.default_cfg
+
+(* The sweep configuration; only the commands that run Figure 12 take
+   [--fig12-range]. *)
+let cfg_term ?(fig12 = false) () =
+  let make threads duration repeats quick fig12_range =
+    let base = preset quick in
     {
-      Harness.Experiments.threads =
-        (if quick && threads = Harness.Experiments.default_cfg.threads then
-           base.threads
-         else threads);
-      duration =
-        (if quick && duration = Harness.Experiments.default_cfg.duration then
-           base.duration
-         else duration);
+      Harness.Experiments.threads = Option.value threads ~default:base.threads;
+      duration = Option.value duration ~default:base.duration;
       repeats;
-      csv_dir;
-      json_dir;
-      fig12_range =
-        (if
-           quick
-           && fig12_range = Harness.Experiments.default_cfg.fig12_range
-         then base.fig12_range
-         else fig12_range);
+      fig12_range = Option.value fig12_range ~default:base.fig12_range;
     }
   in
   Term.(
-    const make $ threads_arg $ duration_arg $ repeats_arg $ csv_arg
-    $ json_dir_arg $ quick_arg $ fig12_range_arg)
+    const make
+    $ threads_arg ~absent:"1,2,4,8, or 1,2,4 with $(b,--quick)"
+    $ duration_arg ~absent:"2, or 0.4 with $(b,--quick)"
+    $ repeats_arg $ quick_arg
+    $ if fig12 then fig12_range_arg else const None)
 
 let range_arg ~default =
   let doc = "Key range." in
@@ -109,12 +95,10 @@ let preflight_json json =
           exit 1)
 
 (* Write the combined BENCH artifact when [--json] was given. *)
-let write_json ~name cfg json rows =
+let write_json ?meta ~name json rows =
   Option.iter
     (fun path ->
-      Harness.Report.write_bench_doc
-        ~meta:(Harness.Experiments.cfg_meta cfg)
-        ~path ~name rows;
+      Harness.Report.write_bench_doc ?meta ~path ~name rows;
       Printf.printf "wrote %s (%d runs)\n%!" path (List.length rows))
     json
 
@@ -137,103 +121,87 @@ let lookup cmd ?(hint = "") what find name =
   | Some v -> v
   | None -> die cmd "unknown --%s %s%s" what name hint
 
-let soak_tail cmd cfg json rows failures =
-  write_json ~name:cmd cfg json rows;
+(* A soak document has no ["config"]: its rows carry their own
+   parameters. *)
+let soak_tail cmd json rows failures =
+  write_json ~name:cmd json rows;
   if failures <> [] then begin
     List.iter (Printf.eprintf "scotbench %s: %s\n" cmd) failures;
     Stdlib.exit 1
   end
 
-(* A command whose body yields [Runner.result list] and supports [--json]. *)
-let bench_cmd cmd_name doc body =
+let rows = List.map Harness.Report.result_json
+
+(* A sweep command: [body] yields the BENCH rows of its runs under the
+   sweep configuration, which the document records as ["config"]. *)
+let bench_cmd ?fig12 cmd_name doc body =
   cmd_of cmd_name doc
     Term.(
-      const (fun cfg json results_of ->
+      const (fun cfg json rows_of ->
           preflight_json json;
-          write_json ~name:cmd_name cfg json
-            (List.map Harness.Report.result_json (results_of cfg)))
-      $ cfg_term $ json_arg $ body)
+          write_json
+            ~meta:(Harness.Experiments.cfg_meta cfg)
+            ~name:cmd_name json (rows_of cfg))
+      $ cfg_term ?fig12 () $ json_arg $ body)
 
 let fig8_cmd =
-  bench_cmd "fig8" "List throughput (HMList vs HList), Figure 8"
+  bench_cmd "fig8"
+    "List throughput (HMList vs HList), Figure 8, and its memory overhead, \
+     Figure 10"
     Term.(
-      const (fun range cfg -> Harness.Experiments.fig8 cfg ~range)
+      const (fun range cfg -> rows (Harness.Experiments.fig8 cfg ~range))
       $ range_arg ~default:512)
 
 let fig9_cmd =
-  bench_cmd "fig9" "NMTree throughput, Figure 9"
+  bench_cmd "fig9"
+    "NMTree throughput, Figure 9, and its memory overhead, Figure 11"
     Term.(
-      const (fun range cfg -> Harness.Experiments.fig9 cfg ~range)
-      $ range_arg ~default:128)
-
-let fig10_cmd =
-  bench_cmd "fig10" "List memory overhead, Figure 10 (reruns Figure 8's runs)"
-    Term.(
-      const (fun range cfg ->
-          let results = Harness.Experiments.fig8 cfg ~range in
-          Harness.Experiments.memory_table
-            ~title:
-              (Printf.sprintf
-                 "Figure 10 (range %d): list avg unreclaimed objects" range)
-            results;
-          results)
-      $ range_arg ~default:512)
-
-let fig11_cmd =
-  bench_cmd "fig11" "NMTree memory overhead, Figure 11 (reruns Figure 9's runs)"
-    Term.(
-      const (fun range cfg ->
-          let results = Harness.Experiments.fig9 cfg ~range in
-          Harness.Experiments.memory_table
-            ~title:
-              (Printf.sprintf
-                 "Figure 11 (range %d): NMTree avg unreclaimed objects" range)
-            results;
-          results)
+      const (fun range cfg -> rows (Harness.Experiments.fig9 cfg ~range))
       $ range_arg ~default:128)
 
 let fig12_cmd =
-  bench_cmd "fig12" "NMTree at cache-exceeding key range, Figure 12"
-    Term.(const (fun cfg -> Harness.Experiments.fig12 cfg))
+  bench_cmd ~fig12:true "fig12" "NMTree at cache-exceeding key range, Figure 12"
+    Term.(const (fun cfg -> rows (Harness.Experiments.fig12 cfg)))
 
 let table1_cmd =
   cmd_of "table1" "SMR-compatibility matrix, Table 1"
     Term.(
-      const (fun cfg ->
-          ignore
-            (Harness.Experiments.table1
-               ~duration:cfg.Harness.Experiments.duration ()))
-      $ cfg_term)
+      const (fun duration quick ->
+          let duration =
+            Option.value duration ~default:(preset quick).duration
+          in
+          ignore (Harness.Experiments.table1 ~duration ()))
+      $ duration_arg ~absent:"2, or 0.4 with $(b,--quick)"
+      $ quick_arg)
 
 let table2_cmd =
   bench_cmd "table2" "Restart statistics under HP, Table 2"
-    Term.(const (fun cfg -> Harness.Experiments.table2 cfg))
+    Term.(const (fun cfg -> rows (Harness.Experiments.table2 cfg)))
 
 let ablation_recovery_cmd =
   bench_cmd "ablation-recovery" "Recovery optimisation on/off (SS 3.2.1)"
-    Term.(const (fun cfg -> Harness.Experiments.ablation_recovery cfg))
+    Term.(const (fun cfg -> rows (Harness.Experiments.ablation_recovery cfg)))
 
 let ablation_wf_cmd =
   bench_cmd "ablation-wf" "Wait-free vs lock-free traversals (SS 3.4)"
-    Term.(const (fun cfg -> Harness.Experiments.ablation_wf cfg))
+    Term.(const (fun cfg -> rows (Harness.Experiments.ablation_wf cfg)))
 
-let stall_cmd =
-  cmd_of "stall" "Stalled-thread robustness demonstration"
-    Term.(
-      const (fun cfg ->
-          ignore
-            (Harness.Experiments.stall
-               ~duration:cfg.Harness.Experiments.duration ()))
-      $ cfg_term)
-
-(* The chaos and recover matrices: 2 domains at smoke size, else 2 and 4
+(* The chaos and recover matrices: 2 and 4 domains, or 2 at smoke size,
    unless [-t] narrows them (one domain cannot stall or crash a peer). *)
-let matrix_shape (cfg : Harness.Experiments.cfg) smoke =
-  if smoke then ([ 2 ], 0.3)
-  else
-    ( (if cfg.threads = Harness.Experiments.default_cfg.threads then [ 2; 4 ]
-       else List.filter (fun n -> n >= 2) cfg.threads),
-      cfg.duration )
+let matrix_threads = threads_arg ~absent:"2,4, or 2 with $(b,--smoke)"
+let matrix_duration = duration_arg ~absent:"2, or 0.3 with $(b,--smoke)"
+
+let matrix_shape cmd ~smoke threads duration =
+  let threads_list =
+    match threads with
+    | None -> if smoke then [ 2 ] else [ 2; 4 ]
+    | Some ts -> List.filter (fun n -> n >= 2) ts
+  in
+  if threads_list = [] then die cmd "-t needs a thread count of at least 2";
+  ( threads_list,
+    Option.value duration
+      ~default:
+        (if smoke then 0.3 else Harness.Experiments.default_cfg.duration) )
 
 let chaos_cmd =
   let smoke =
@@ -280,7 +248,8 @@ let chaos_cmd =
   cmd_of "chaos"
     "Fault-injection validation: memory bounds under stalls, plus fuzzing"
     Term.(
-      const (fun cfg json smoke do_fuzz structure point scheme_name range ->
+      const (fun threads duration json smoke do_fuzz structure point scheme_name
+                range ->
           preflight_json json;
           let scheme_name =
             match String.lowercase_ascii scheme_name with
@@ -294,7 +263,9 @@ let chaos_cmd =
               | Some s -> Some [ s ]
               | None -> die "chaos" "unknown scheme %s" scheme_name
           in
-          let threads_list, duration = matrix_shape cfg smoke in
+          let threads_list, duration =
+            matrix_shape "chaos" ~smoke threads duration
+          in
           let runs =
             Harness.Experiments.chaos_matrix ~structure ~threads_list ~point
               ~range ~duration ?schemes ()
@@ -374,7 +345,7 @@ let chaos_cmd =
                 stall_cmp
             @ List.map Harness.Experiments.fuzz_result_json fuzzes
           in
-          soak_tail "chaos" cfg json rows
+          soak_tail "chaos" json rows
             (List.filter_map
                (fun (bad, msg) -> if bad then Some msg else None)
                [
@@ -391,8 +362,8 @@ let chaos_cmd =
                      stall_cmp,
                    "stall-comparison verdict(s) failed" );
                ]))
-      $ cfg_term $ json_arg $ smoke $ fuzz_flag $ structure $ point $ scheme
-      $ range_arg ~default:256)
+      $ matrix_threads $ matrix_duration $ json_arg $ smoke $ fuzz_flag
+      $ structure $ point $ scheme $ range_arg ~default:256)
 
 let recover_cmd =
   let smoke =
@@ -417,9 +388,11 @@ let recover_cmd =
     "Crash recovery validation: kill domains mid-traversal, supervise \
      (deactivate + adopt + respawn), check the memory bounds"
     Term.(
-      const (fun cfg json smoke structure crashed range ->
+      const (fun threads duration json smoke structure crashed range ->
           preflight_json json;
-          let threads_list, duration = matrix_shape cfg smoke in
+          let threads_list, duration =
+            matrix_shape "recover" ~smoke threads duration
+          in
           let runs =
             Harness.Experiments.recover_matrix ~structure ~threads_list
               ~crashed ~range ~duration ()
@@ -427,13 +400,13 @@ let recover_cmd =
           let failed =
             List.filter (fun r -> not r.Harness.Experiments.rc_ok) runs
           in
-          soak_tail "recover" cfg json
+          soak_tail "recover" json
             (List.map Harness.Experiments.recover_run_json runs)
             (if failed = [] then []
              else
                [ Printf.sprintf "%d verdict(s) failed" (List.length failed) ]))
-      $ cfg_term $ json_arg $ smoke $ structure $ crashed
-      $ range_arg ~default:256)
+      $ matrix_threads $ matrix_duration $ json_arg $ smoke $ structure
+      $ crashed $ range_arg ~default:256)
 
 let serve_cmd =
   let smoke =
@@ -544,9 +517,9 @@ let serve_cmd =
     "Service-tier soak: sharded KV store under a skewed request stream, \
      batched vs per-op SMR bracket dispatch, supervised crash recovery"
     Term.(
-      const (fun cfg json smoke backend scheme shards workers domains range
-                batch buckets skew mix phases crash ttl_pct ttl_s mode
-                min_speedup ->
+      const (fun duration repeats json smoke backend scheme shards workers
+                domains range batch buckets skew mix phases crash ttl_pct ttl_s
+                mode min_speedup ->
           preflight_json json;
           let fail fmt = die "serve" fmt in
           let parse what = parse "serve" what in
@@ -579,7 +552,10 @@ let serve_cmd =
               "--domains oversubscription needs --crash 0 (the two \
                adversaries share chaos cells)";
           let duration =
-            if smoke then 0.4 else cfg.Harness.Experiments.duration
+            Option.value duration
+              ~default:
+                (if smoke then 0.4
+                 else Harness.Experiments.default_cfg.duration)
           in
           let sc =
             {
@@ -602,7 +578,7 @@ let serve_cmd =
             }
           in
           let module Sv = Scotstore.Serve in
-          let repeats = max 1 cfg.Harness.Experiments.repeats in
+          let repeats = max 1 repeats in
           (* With both modes, the [-r] repeats are interleaved pairs
              scored by [Experiments.paired_median]: the speedup is the
              median of per-round batched/per-op ratios, and the reported
@@ -671,7 +647,7 @@ let serve_cmd =
                      ])
                    b.r_per_shard))
             (List.assoc_opt Sv.Batched results);
-          soak_tail "serve" cfg json
+          soak_tail "serve" json
             (List.map
                (fun (m, r) ->
                  let speedup = if m = Sv.Batched then speedup else None in
@@ -693,7 +669,8 @@ let serve_cmd =
                     min_speedup;
                 ]
             | _ -> []))
-      $ cfg_term $ json_arg $ smoke $ backend $ scheme $ shards $ workers
+      $ duration_arg ~absent:"2, or 0.4 with $(b,--smoke)"
+      $ repeats_arg $ json_arg $ smoke $ backend $ scheme $ shards $ workers
       $ domains
       $ range_arg ~default:16384
       $ batch $ buckets $ skew $ mix $ phases $ crash $ ttl_pct $ ttl_s $ mode
@@ -791,7 +768,7 @@ let pressure_cmd =
      reads) and recovery from robust schemes — and demonstrable overflow \
      from the non-robust negative control"
     Term.(
-      const (fun cfg json smoke backend scheme shards workers domains readers
+      const (fun json smoke backend scheme shards workers domains readers
                 range budget deadline clean ramp drain ttl_pct
                 ttl_s ->
           preflight_json json;
@@ -883,7 +860,7 @@ let pressure_cmd =
                 (Scotstore.Pressure.level_name r.r_max_level)
                 r.r_recovered r.r_verdict)
             results;
-          soak_tail "pressure" cfg json
+          soak_tail "pressure" json
             (List.map (fun (_, pc, r) -> Scotstore.Overload.result_json pc r)
                results)
             (List.filter_map
@@ -892,7 +869,7 @@ let pressure_cmd =
                  else
                    Some (Printf.sprintf "%s verdict failed: %s" name r.r_verdict))
                results))
-      $ cfg_term $ json_arg $ smoke $ backend $ scheme $ shards $ workers
+      $ json_arg $ smoke $ backend $ scheme $ shards $ workers
       $ domains $ readers
       $ range_arg ~default:2048
       $ budget $ deadline $ clean $ ramp $ drain $ ttl_pct
@@ -900,15 +877,15 @@ let pressure_cmd =
 
 let fig_skiplist_cmd =
   bench_cmd "fig-skiplist" "SkipList SCOT vs Herlihy-Shavit searches (extension)"
-    Term.(const (fun cfg -> Harness.Experiments.fig_skiplist cfg))
+    Term.(const (fun cfg -> rows (Harness.Experiments.fig_skiplist cfg)))
 
 let mixes_cmd =
   bench_cmd "mixes" "Read-dominated and write-only workload mixes (SS 5)"
-    Term.(const (fun cfg -> Harness.Experiments.mixes cfg))
+    Term.(const (fun cfg -> rows (Harness.Experiments.mixes cfg)))
 
 let all_cmd =
-  bench_cmd "all" "Run every experiment in paper order"
-    Term.(const (fun cfg -> Harness.Experiments.run_all cfg))
+  bench_cmd ~fig12:true "all" "Run every experiment in paper order"
+    Term.(const Harness.Experiments.run_all)
 
 let run_cmd =
   let structure =
@@ -956,12 +933,11 @@ let run_cmd =
              count oversubscribes: the excess workers are parked \
              mid-operation and rotated back in at the sample cadence.")
   in
-  (* Thread counts come from the shared [-t N,N,...] list: one run per
-     entry (the old separate [-t] int flag collided with it and crashed
-     cmdliner as soon as the subcommand was invoked). *)
-  bench_cmd "run" "One custom benchmark run per requested thread count"
+  cmd_of "run" "One custom benchmark run per requested thread count"
     Term.(
-      const (fun structure scheme range (r, i, d) skew phases domains cfg ->
+      const (fun threads duration json structure scheme range (r, i, d) skew
+                phases domains ->
+          preflight_json json;
           let parse what = parse "run" what in
           let skew = parse "skew" Harness.Workload.skew_of_string skew in
           let phases =
@@ -978,12 +954,17 @@ let run_cmd =
                   ~builder:(Harness.Instance.find_builder_exn structure)
                   ~scheme:(Smr.Registry.find_exn scheme)
                   ~threads ~range
-                  ~duration:cfg.Harness.Experiments.duration ())
-              cfg.Harness.Experiments.threads
+                  ~duration:
+                    (Option.value duration
+                       ~default:Harness.Experiments.default_cfg.duration)
+                  ())
+              (Option.value threads
+                 ~default:Harness.Experiments.default_cfg.threads)
           in
           Harness.Report.table ~header:Harness.Report.result_header
             (List.map Harness.Report.result_row results);
-          results)
+          write_json ~name:"run" json (rows results))
+      $ threads_arg ~absent:"1,2,4,8" $ duration_arg ~absent:"2" $ json_arg
       $ structure $ scheme
       $ range_arg ~default:10_000
       $ mix $ skew $ phases $ domains)
@@ -997,10 +978,9 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            fig8_cmd; fig9_cmd; fig10_cmd; fig11_cmd; fig12_cmd; table1_cmd;
-            table2_cmd; ablation_recovery_cmd; ablation_wf_cmd;
-            fig_skiplist_cmd; mixes_cmd; stall_cmd; chaos_cmd; recover_cmd;
-            serve_cmd; pressure_cmd;
+            fig8_cmd; fig9_cmd; fig12_cmd; table1_cmd; table2_cmd;
+            ablation_recovery_cmd; ablation_wf_cmd; fig_skiplist_cmd;
+            mixes_cmd; chaos_cmd; recover_cmd; serve_cmd; pressure_cmd;
             all_cmd;
             run_cmd;
           ]))

@@ -3,8 +3,8 @@
    bound, while robust schemes (HP/HPopt/HE/IBR/Hyaline-1S) stay bounded.
    SCOT is what lets Harris' list run on the robust schemes at all.
 
-   This drives the same experiment as `scotbench stall` but prints a
-   narrated, growing timeline.  The stall uses the fault-control API: the
+   This drives the same experiment as the `scotbench chaos` matrix but
+   prints a narrated, growing timeline.  The stall uses the fault-control API: the
    victim domain runs a *real* traversal and parks at the "read" injection
    point with its protection published, then gets resumed at the end —
    showing that the backlog drains once the stall clears.

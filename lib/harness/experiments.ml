@@ -1,16 +1,15 @@
 (* Experiment definitions: one entry per table/figure of the paper's
    evaluation (Section 5), plus the ablations called out in DESIGN.md.
 
-   Every experiment prints a paper-shaped table and, when [csv_dir] is set,
-   drops a CSV with the raw rows.  Memory-overhead figures (10/11/12b) reuse
-   the runs of their throughput siblings, as in the paper's harness. *)
+   Every experiment prints a paper-shaped table and returns its runs for
+   the caller's BENCH artifact.  Memory-overhead figures (10/11/12b) are
+   printed from the runs of their throughput siblings, as in the paper's
+   harness. *)
 
 type cfg = {
   threads : int list; (* paper: 1..384; scaled for this host *)
   duration : float; (* seconds per run; paper: 10 *)
   repeats : int; (* paper: 5 (median); default 1 *)
-  csv_dir : string option;
-  json_dir : string option; (* per-experiment BENCH_<name>.json artifacts *)
   fig12_range : int; (* paper: 50,000,000; scaled default 1,000,000 *)
 }
 
@@ -19,8 +18,6 @@ let default_cfg =
     threads = [ 1; 2; 4; 8 ];
     duration = 2.0;
     repeats = 1;
-    csv_dir = None;
-    json_dir = None;
     fig12_range = 1_000_000;
   }
 
@@ -29,8 +26,6 @@ let quick_cfg =
     threads = [ 1; 2; 4 ];
     duration = 0.4;
     repeats = 1;
-    csv_dir = None;
-    json_dir = None;
     fig12_range = 100_000;
   }
 
@@ -78,22 +73,6 @@ let run_one cfg ~builder ~scheme ~threads ~range ?mix () =
   in
   median_result results
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
-let maybe_csv cfg ~name results =
-  match cfg.csv_dir with
-  | None -> ()
-  | Some dir ->
-      mkdir_p dir;
-      Report.write_csv
-        ~path:(Filename.concat dir (name ^ ".csv"))
-        ~header:Report.result_header
-        (List.map Report.result_csv_row results)
-
 let cfg_meta cfg =
   [
     ( "config",
@@ -106,21 +85,8 @@ let cfg_meta cfg =
         ] );
   ]
 
-let maybe_json cfg ~name results =
-  match cfg.json_dir with
-  | None -> ()
-  | Some dir ->
-      mkdir_p dir;
-      Report.write_bench ~meta:(cfg_meta cfg)
-        ~path:(Filename.concat dir ("BENCH_" ^ name ^ ".json"))
-        ~name results
-
-let maybe_artifacts cfg ~name results =
-  maybe_csv cfg ~name results;
-  maybe_json cfg ~name results
-
 (* Generic sweep: structures x schemes x thread counts at one key range. *)
-let sweep cfg ~name ~title ~structures ~schemes ~range ?mix () =
+let sweep cfg ~title ~structures ~schemes ~range ?mix () =
   Report.section title;
   let results =
     List.concat_map
@@ -137,30 +103,10 @@ let sweep cfg ~name ~title ~structures ~schemes ~range ?mix () =
   in
   Report.table ~header:Report.result_header
     (List.map Report.result_row results);
-  maybe_artifacts cfg ~name results;
   results
 
-(* Figure 8: list throughput, 50r/25i/25d, ranges 512 and 10,000. *)
-let fig8 cfg ~range =
-  sweep cfg
-    ~name:(Printf.sprintf "fig8_range%d" range)
-    ~title:
-      (Printf.sprintf
-         "Figure 8 (range %d): HMList vs HList throughput, 50%% read / 50%% \
-          write"
-         range)
-    ~structures:[ "HMList"; "HList" ] ~schemes:all_schemes ~range ()
-
-(* Figure 9: NMTree throughput, ranges 128 and 100,000. *)
-let fig9 cfg ~range =
-  sweep cfg
-    ~name:(Printf.sprintf "fig9_range%d" range)
-    ~title:
-      (Printf.sprintf
-         "Figure 9 (range %d): NMTree throughput, 50%% read / 50%% write" range)
-    ~structures:[ "NMTree" ] ~schemes:all_schemes ~range ()
-
-(* Figures 10/11: memory overhead tables derived from the fig8/fig9 runs. *)
+(* Figures 10/11/12b: the memory-overhead table of a throughput sweep,
+   printed from that sweep's own runs; returns them. *)
 let memory_table ~title (results : Runner.result list) =
   Report.section title;
   Report.table
@@ -178,26 +124,50 @@ let memory_table ~title (results : Runner.result list) =
                Printf.sprintf "%.0f" r.avg_unreclaimed;
                string_of_int r.max_unreclaimed;
              ])
-       results)
+       results);
+  results
+
+(* Figures 8 and 10: list throughput, 50r/25i/25d, ranges 512 and 10,000,
+   and the unreclaimed objects of the same runs. *)
+let fig8 cfg ~range =
+  sweep cfg
+    ~title:
+      (Printf.sprintf
+         "Figure 8 (range %d): HMList vs HList throughput, 50%% read / 50%% \
+          write"
+         range)
+    ~structures:[ "HMList"; "HList" ] ~schemes:all_schemes ~range ()
+  |> memory_table
+       ~title:
+         (Printf.sprintf "Figure 10 (range %d): list avg unreclaimed objects"
+            range)
+
+(* Figures 9 and 11: NMTree throughput, ranges 128 and 100,000, and the
+   unreclaimed objects of the same runs. *)
+let fig9 cfg ~range =
+  sweep cfg
+    ~title:
+      (Printf.sprintf
+         "Figure 9 (range %d): NMTree throughput, 50%% read / 50%% write" range)
+    ~structures:[ "NMTree" ] ~schemes:all_schemes ~range ()
+  |> memory_table
+       ~title:
+         (Printf.sprintf "Figure 11 (range %d): NMTree avg unreclaimed objects"
+            range)
 
 (* Figure 12: NMTree at a key range too large for the cache
    (paper: 50M; scaled via cfg). *)
 let fig12 cfg =
-  let results =
-    sweep cfg
-      ~name:(Printf.sprintf "fig12_range%d" cfg.fig12_range)
-      ~title:
-        (Printf.sprintf
-           "Figure 12a (range %d, paper: 50M scaled): NMTree throughput"
-           cfg.fig12_range)
-      ~structures:[ "NMTree" ] ~schemes:all_schemes ~range:cfg.fig12_range ()
-  in
-  memory_table
+  sweep cfg
     ~title:
-      (Printf.sprintf "Figure 12b (range %d): NMTree avg unreclaimed objects"
+      (Printf.sprintf
+         "Figure 12a (range %d, paper: 50M scaled): NMTree throughput"
          cfg.fig12_range)
-    results;
-  results
+    ~structures:[ "NMTree" ] ~schemes:all_schemes ~range:cfg.fig12_range ()
+  |> memory_table
+       ~title:
+         (Printf.sprintf "Figure 12b (range %d): NMTree avg unreclaimed objects"
+            cfg.fig12_range)
 
 (* Table 2: restart statistics under HP.
 
@@ -245,7 +215,6 @@ let table2 cfg =
              /. float_of_int (max 1 r.ops));
          ])
        results);
-  maybe_artifacts cfg ~name:"table2" results;
   results
 
 (* Table 1: SMR-compatibility matrix, demonstrated empirically.  For each
@@ -299,7 +268,6 @@ let ablation_recovery cfg =
   List.concat_map
     (fun range ->
       sweep cfg
-        ~name:(Printf.sprintf "ablation_recovery_range%d" range)
         ~title:
           (Printf.sprintf
              "Ablation (range %d): HList recovery optimisation on vs off (HP)"
@@ -311,77 +279,11 @@ let ablation_recovery cfg =
 
 (* Ablation: wait-free vs lock-free traversals (§3.4: "almost identical"). *)
 let ablation_wf cfg =
-  sweep cfg ~name:"ablation_wf"
+  sweep cfg
     ~title:"Ablation: HList lock-free vs wait-free traversals (HP, EBR)"
     ~structures:[ "HList"; "HListWF" ]
     ~schemes:[ Smr.Registry.find_exn "HP"; Smr.Registry.find_exn "EBR" ]
     ~range:10_000 ()
-
-(* Robustness demonstration (§1, §2.2.1): park one thread mid-traversal and
-   watch the unreclaimed count.  EBR must grow without bound while the
-   robust schemes stay bounded — the motivation for SCOT. *)
-let stall ?(threads = 4) ?(duration = 2.0) ?(range = 512) ?(point = "read") ()
-    =
-  Report.section
-    "Stalled-thread robustness: unreclaimed objects with one thread parked \
-     inside an operation (EBR unbounded vs robust schemes bounded)";
-  let rows =
-    List.map
-      (fun (module S : Smr.Smr_intf.S) ->
-        let builder = Instance.find_builder_exn "HList" in
-        let inst =
-          builder.Instance.build (module S : Smr.Smr_intf.S) ~threads ()
-        in
-        Array.iter
-          (fun k -> ignore (inst.Instance.insert ~tid:0 k))
-          (Workload.prefill_keys ~range ~seed:42);
-        (* Thread [threads-1] parks at the injection point inside a real
-           operation (protection published); the rest churn. *)
-        inst.Instance.fault.stall ~tid:(threads - 1) ~point;
-        (* The soak covers the churning tids only: the parked one stays
-           parked (no shutdown) and unquiesced until the gauge is read. *)
-        let o =
-          Soak.run ~sample_every:duration
-            { (Soak.instance_target inst) with threads = threads - 1;
-              shutdown = ignore }
-            ~workers:(threads - 1) ~duration
-            (fun w ->
-              let rng = Workload.Rng.create ~seed:(w.tid + 1) in
-              fun () ->
-                while not (Atomic.get w.stop) do
-                  let k = Workload.Rng.int rng range in
-                  if Workload.Rng.int rng 2 = 0 then
-                    ignore (inst.Instance.insert ~tid:w.tid k)
-                  else ignore (inst.Instance.delete ~tid:w.tid k)
-                done)
-        in
-        if o.faults > 0 then
-          failwith
-            (Printf.sprintf "Experiments.stall: %s: %d use-after-free fault(s)"
-               S.name o.faults);
-        (* Read the gauge while the thread is still parked, then release
-           it — the resumed operation completes and the robust schemes'
-           backlog drains, demonstrating recovery as well as boundedness. *)
-        let unr = inst.Instance.unreclaimed () in
-        inst.Instance.fault.shutdown ();
-        for tid = 0 to threads - 1 do
-          inst.Instance.quiesce ~tid
-        done;
-        let after_resume = inst.Instance.unreclaimed () in
-        [
-          S.name;
-          (if S.capabilities.Smr.Smr_intf.robust then "robust"
-           else "not robust");
-          string_of_int unr;
-          string_of_int after_resume;
-        ])
-      all_schemes
-  in
-  Report.table
-    ~header:
-      [ "scheme"; "class"; "unreclaimed_stalled"; "unreclaimed_resumed" ]
-    rows;
-  rows
 
 (* {2 Chaos: fault-injection validation (bounded memory under stalls)} *)
 
@@ -401,6 +303,7 @@ type chaos_run = {
   c_max_unreclaimed : int;
   c_first_third : float; (* mean unreclaimed over the first third of *)
   c_last_third : float; (* samples / the last third: the growth signal *)
+  c_post_quiesced : int; (* gauge once the stall is released and quiesced *)
   c_ok : bool;
   c_verdict : string; (* "ok", or the failed check with its numbers *)
   c_mem_series : Metrics.mem_sample list;
@@ -466,7 +369,7 @@ let chaos ?(structure = "HList") ?(threads = 4) ?(stalled = 1)
   let workers = threads - stalled in
   if workers < 1 then invalid_arg "Experiments.chaos: no worker threads left";
   let bound = ref None in
-  let r, _, trace =
+  let r, inst, trace =
     fault_run ?config ~workers ~structure ~scheme:(module S) ~threads ~range
       ~duration (fun config inst ->
         bound :=
@@ -477,6 +380,9 @@ let chaos ?(structure = "HList") ?(threads = 4) ?(stalled = 1)
           inst.Instance.fault.stall ~tid ~point
         done)
   in
+  (* The run's shutdown released the parked participants and quiesced
+     every tid, so this reads the gauge drained after the stall. *)
+  let post_quiesced = inst.Instance.unreclaimed () in
   let first_third, last_third = third_means r.mem_series in
   let check =
     match !bound with
@@ -506,6 +412,7 @@ let chaos ?(structure = "HList") ?(threads = 4) ?(stalled = 1)
     c_max_unreclaimed = r.max_unreclaimed;
     c_first_third = first_third;
     c_last_third = last_third;
+    c_post_quiesced = post_quiesced;
     c_ok = check.ok;
     c_verdict = Soak.verdict [ check ];
     c_mem_series = r.mem_series;
@@ -514,7 +421,7 @@ let chaos ?(structure = "HList") ?(threads = 4) ?(stalled = 1)
 
 let chaos_header =
   [ "scheme"; "class"; "threads"; "stalled"; "point"; "bound";
-    "max_unreclaimed"; "first_third"; "last_third"; "verdict" ]
+    "max_unreclaimed"; "first_third"; "last_third"; "quiesced"; "verdict" ]
 
 let chaos_row (c : chaos_run) =
   [
@@ -527,6 +434,7 @@ let chaos_row (c : chaos_run) =
     string_of_int c.c_max_unreclaimed;
     Printf.sprintf "%.0f" c.c_first_third;
     Printf.sprintf "%.0f" c.c_last_third;
+    string_of_int c.c_post_quiesced;
     c.c_verdict;
   ]
 
@@ -576,6 +484,7 @@ let chaos_run_json (c : chaos_run) =
       ("max_unreclaimed", Json.Int c.c_max_unreclaimed);
       ("first_third", Json.Float c.c_first_third);
       ("last_third", Json.Float c.c_last_third);
+      ("post_quiesced", Json.Int c.c_post_quiesced);
       ("ok", Json.Bool c.c_ok);
       ( "mem_series",
         Json.List (List.map Metrics.mem_sample_json c.c_mem_series) );
@@ -1064,7 +973,7 @@ let fuzz_result_json (f : fuzz_result) =
 (* Extension: the skip-list analogue of Figure 8 — SCOT optimistic searches
    vs Herlihy-Shavit eager searches (Table 1's skip-list rows). *)
 let fig_skiplist cfg =
-  sweep cfg ~name:"fig_skiplist"
+  sweep cfg
     ~title:
       "Extension: SkipList (SCOT optimistic) vs SkipList-HS (eager \
        searches), range 512"
@@ -1077,7 +986,6 @@ let mixes cfg =
   List.concat_map
     (fun (label, mix) ->
       sweep cfg
-        ~name:("mix_" ^ label)
         ~title:(Printf.sprintf "Workload mix %s, range 512" label)
         ~structures:[ "HMList"; "HList" ]
         ~schemes:[ Smr.Registry.find_exn "EBR"; Smr.Registry.find_exn "HP" ]
@@ -1087,22 +995,14 @@ let mixes cfg =
       ("50i-50d", Workload.write_only);
     ]
 
-(* Everything, in paper order; returns every [Runner.result] so the
-   binaries can emit a combined BENCH artifact. *)
+(* Everything, in paper order; returns the BENCH rows of every run so the
+   binaries can emit a combined artifact. *)
 let run_all cfg =
   ignore (table1 ~duration:(cfg.duration /. 2.) ());
   let fig8a = fig8 cfg ~range:512 in
   let fig8b = fig8 cfg ~range:10_000 in
-  memory_table ~title:"Figure 10a (range 512): list avg unreclaimed objects"
-    fig8a;
-  memory_table ~title:"Figure 10b (range 10,000): list avg unreclaimed objects"
-    fig8b;
   let fig9a = fig9 cfg ~range:128 in
   let fig9b = fig9 cfg ~range:100_000 in
-  memory_table ~title:"Figure 11a (range 128): NMTree avg unreclaimed objects"
-    fig9a;
-  memory_table
-    ~title:"Figure 11b (range 100,000): NMTree avg unreclaimed objects" fig9b;
   let fig12_results = fig12 cfg in
   (* Restart statistics need enough contention time to be meaningful. *)
   let table2_results =
@@ -1117,9 +1017,18 @@ let run_all cfg =
   let abl_wf = ablation_wf cfg in
   let skiplist_results = fig_skiplist cfg in
   let mix_results = mixes cfg in
-  ignore (stall ~duration:(cfg.duration /. 2.) ());
-  List.concat
-    [
-      fig8a; fig8b; fig9a; fig9b; fig12_results; table2_results; abl_rec;
-      abl_wf; skiplist_results; mix_results;
-    ]
+  (* The stalled-thread motivation (§1, §2.2.1): one of four domains parked
+     mid-traversal, every scheme.  Each run lasts at least the chaos smoke's
+     0.3 s, so the growth verdicts have samples to read. *)
+  let stalled =
+    chaos_matrix ~threads_list:[ 4 ] ~range:512
+      ~duration:(Float.max 0.3 (cfg.duration /. 2.))
+      ()
+  in
+  List.map Report.result_json
+    (List.concat
+       [
+         fig8a; fig8b; fig9a; fig9b; fig12_results; table2_results; abl_rec;
+         abl_wf; skiplist_results; mix_results;
+       ])
+  @ List.map chaos_run_json stalled

@@ -1,15 +1,11 @@
 (** Experiment definitions: one entry per table/figure of the paper's
     evaluation (Section 5), plus the ablations and extensions from
-    DESIGN.md.  Each prints a paper-shaped table and optionally drops raw
-    CSVs. *)
+    DESIGN.md.  Each prints a paper-shaped table and returns its runs. *)
 
 type cfg = {
   threads : int list; (** paper: 1..384; scaled for this host *)
   duration : float; (** seconds per run; paper: 10 *)
   repeats : int; (** paper: 5, median reported *)
-  csv_dir : string option;
-  json_dir : string option;
-      (** when set, every experiment drops a [BENCH_<name>.json] there *)
   fig12_range : int; (** paper: 50,000,000; scaled default 1,000,000 *)
 }
 
@@ -36,16 +32,16 @@ val paired_median :
 val cfg_meta : cfg -> (string * Json.t) list
 (** The ["config"] metadata pair embedded in BENCH artifacts. *)
 
-(** Figure 8: HMList vs HList throughput at one key range (512 / 10,000). *)
+(** Figure 8: HMList vs HList throughput at one key range (512 / 10,000),
+    followed by Figure 10's unreclaimed-object table of the same runs. *)
 val fig8 : cfg -> range:int -> Runner.result list
 
-(** Figure 9: NMTree throughput at one key range (128 / 100,000). *)
+(** Figure 9: NMTree throughput at one key range (128 / 100,000),
+    followed by Figure 11's unreclaimed-object table of the same runs. *)
 val fig9 : cfg -> range:int -> Runner.result list
 
-(** Figures 10/11/12b: unreclaimed-object table from an existing sweep. *)
-val memory_table : title:string -> Runner.result list -> unit
-
-(** Figure 12: NMTree at a cache-exceeding range (cfg.fig12_range). *)
+(** Figure 12: NMTree at a cache-exceeding range (cfg.fig12_range),
+    throughput then unreclaimed objects. *)
 val fig12 : cfg -> Runner.result list
 
 (** Table 1: the compatibility matrix, demonstrated empirically via the
@@ -69,19 +65,6 @@ val fig_skiplist : cfg -> Runner.result list
 (** §5's other workload mixes (90/5/5 and 50i/50d). *)
 val mixes : cfg -> Runner.result list
 
-(** Stalled-thread robustness demonstration: parks one thread at an
-    injection point (default mid-traversal, ["read"]) via
-    {!Instance.fault_control}, reports the gauge stalled and after resume;
-    returns the printed rows.  Raises [Failure] if a churning worker hits
-    a use-after-free. *)
-val stall :
-  ?threads:int ->
-  ?duration:float ->
-  ?range:int ->
-  ?point:string ->
-  unit ->
-  string list list
-
 (** {2 Chaos: fault-injection validation and fuzzing} *)
 
 type chaos_run = {
@@ -102,6 +85,9 @@ type chaos_run = {
   c_first_third : float;
   c_last_third : float;
       (** mean unreclaimed over the first/last third of samples *)
+  c_post_quiesced : int;
+      (** gauge after the run, once the stalled participants are released
+          and every tid is quiesced *)
   c_ok : bool;
       (** robust: stayed under [c_bound]; non-robust: clear growth *)
   c_verdict : string;
@@ -138,9 +124,6 @@ val chaos_matrix :
   ?schemes:Smr.Registry.scheme list ->
   unit ->
   chaos_run list
-
-val chaos_header : string list
-val chaos_row : chaos_run -> string list
 
 val chaos_run_json : chaos_run -> Json.t
 (** ["kind": "chaos"] run entry for {!Report.write_bench_doc}. *)
@@ -278,9 +261,6 @@ val recover_matrix :
   unit ->
   recover_run list
 
-val recover_header : string list
-val recover_row : recover_run -> string list
-
 val recover_run_json : recover_run -> Json.t
 (** ["kind": "recovery"] run entry for {!Report.write_bench_doc}. *)
 
@@ -319,20 +299,8 @@ val fuzz_once :
     [(use_after_free_fired, trace)].  Exposed for the property-based
     tests. *)
 
-(** Run everything in paper order; returns every [Runner.result] (the
-    string-row experiments, Table 1 and the stall demo, print only) so
-    callers can emit a combined BENCH artifact. *)
-val run_all : cfg -> Runner.result list
-
-(** Internals exposed for the CLI. *)
-
-val sweep :
-  cfg ->
-  name:string ->
-  title:string ->
-  structures:string list ->
-  schemes:Smr.Registry.scheme list ->
-  range:int ->
-  ?mix:Workload.mix ->
-  unit ->
-  Runner.result list
+(** Run everything in paper order and return the BENCH rows of every
+    run: the sweeps' {!Report.result_json} entries, then the stalled-thread
+    chaos matrix (every scheme, 4 domains, one parked mid-traversal).
+    Table 1 prints only. *)
+val run_all : cfg -> Json.t list

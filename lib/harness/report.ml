@@ -1,5 +1,5 @@
-(* Plain-text table rendering for the benchmark reports, plus CSV output so
-   results can be post-processed into charts. *)
+(* Plain-text table rendering for the benchmark reports, plus the BENCH
+   JSON document every machine-readable number is written to. *)
 
 let hline widths =
   let parts = List.map (fun w -> String.make (w + 2) '-') widths in
@@ -60,22 +60,6 @@ let human f =
   else if f >= 1e3 then Printf.sprintf "%.1fk" (f /. 1e3)
   else Printf.sprintf "%.0f" f
 
-let csv_escape s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
-let write_csv ~path ~header rows =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (String.concat "," (List.map csv_escape header) ^ "\n");
-      List.iter
-        (fun row ->
-          output_string oc (String.concat "," (List.map csv_escape row) ^ "\n"))
-        rows)
-
 (* Columns for a [Runner.result] row. *)
 let result_header =
   [ "structure"; "scheme"; "threads"; "range"; "throughput";
@@ -91,20 +75,6 @@ let result_row (r : Runner.result) =
     string_of_int r.ops;
     string_of_int r.restarts;
     Printf.sprintf "%.0f" r.avg_unreclaimed;
-    string_of_int r.max_unreclaimed;
-    string_of_int r.faults;
-  ]
-
-let result_csv_row (r : Runner.result) =
-  [
-    r.structure;
-    r.scheme;
-    string_of_int r.threads;
-    string_of_int r.range;
-    Printf.sprintf "%.1f" r.throughput;
-    string_of_int r.ops;
-    string_of_int r.restarts;
-    Printf.sprintf "%.1f" r.avg_unreclaimed;
     string_of_int r.max_unreclaimed;
     string_of_int r.faults;
   ]
@@ -161,32 +131,22 @@ let schema_version = 1
 
 (* The single-document benchmark artifact: run metadata plus a caller-built
    ["runs"] array.  This is the BENCH_<name>.json format EXPERIMENTS.md
-   documents; bump [schema_version] on breaking changes.  [bench_doc] is the
-   generic entry point (used by bench/micro for its "micro" run kind);
-   [bench_json] specialises it to [Runner.result] runs. *)
-let bench_doc ?(meta = []) ~name runs =
-  Json.Obj
-    ([
-       ("schema_version", Json.Int schema_version);
-       ("name", Json.String name);
-       ("created_unix", Json.Float (Unix.gettimeofday ()));
-       ("git_rev", Json.String (git_rev ()));
-       ( "host",
-         Json.Obj
-           [
-             ("cores", Json.Int (Domain.recommended_domain_count ()));
-             ("ocaml", Json.String Sys.ocaml_version);
-             ("word_size", Json.Int Sys.word_size);
-           ] );
-     ]
-    @ meta
-    @ [ ("runs", Json.List runs) ])
-
-let bench_json ?meta ~name results =
-  bench_doc ?meta ~name (List.map result_json results)
-
-let write_bench ?meta ~path ~name results =
-  Json.write_file ~path (bench_json ?meta ~name results)
-
-let write_bench_doc ?meta ~path ~name runs =
-  Json.write_file ~path (bench_doc ?meta ~name runs)
+   documents; bump [schema_version] on breaking changes. *)
+let write_bench_doc ?(meta = []) ~path ~name runs =
+  Json.write_file ~path
+    (Json.Obj
+       ([
+          ("schema_version", Json.Int schema_version);
+          ("name", Json.String name);
+          ("created_unix", Json.Float (Unix.gettimeofday ()));
+          ("git_rev", Json.String (git_rev ()));
+          ( "host",
+            Json.Obj
+              [
+                ("cores", Json.Int (Domain.recommended_domain_count ()));
+                ("ocaml", Json.String Sys.ocaml_version);
+                ("word_size", Json.Int Sys.word_size);
+              ] );
+        ]
+       @ meta
+       @ [ ("runs", Json.List runs) ]))

@@ -1,4 +1,5 @@
-(** Plain-text table rendering and CSV output for benchmark reports. *)
+(** Plain-text table rendering and the BENCH JSON document for benchmark
+    reports. *)
 
 (** [table ~header rows] prints an aligned ASCII table (to [out], default
     stdout).  All rows must have the same arity as [header]. *)
@@ -19,17 +20,12 @@ val note : ?out:out_channel -> string -> unit
     [74992. -> "75.0k"]. *)
 val human : float -> string
 
-val write_csv : path:string -> header:string list -> string list list -> unit
-
 (** Standard columns for a {!Runner.result}. *)
 
 val result_header : string list
 
 val result_row : Runner.result -> string list
 (** Human-formatted (throughput as "75.0k"). *)
-
-val result_csv_row : Runner.result -> string list
-(** Raw numbers for post-processing. *)
 
 (** {2 JSON emission} *)
 
@@ -46,30 +42,15 @@ val schema_version : int
 (** Version stamped into every BENCH document; bumped on breaking
     changes to the JSON layout. *)
 
-val bench_doc :
-  ?meta:(string * Json.t) list -> name:string -> Json.t list -> Json.t
-(** The single-document benchmark artifact: [schema_version], [name],
-    [created_unix], [git_rev], [host], any extra [meta] pairs, and the
-    given ["runs"] array.  Generic over the run payload so non-[Runner]
-    producers (e.g. [bench/micro]'s ["kind": "micro"] runs) share the
-    same envelope and validator. *)
-
-val bench_json :
-  ?meta:(string * Json.t) list -> name:string -> Runner.result list -> Json.t
-(** {!bench_doc} over a ["runs"] array of {!result_json} entries. *)
-
-val write_bench :
-  ?meta:(string * Json.t) list ->
-  path:string ->
-  name:string ->
-  Runner.result list ->
-  unit
-(** Pretty-printed {!bench_json} written to [path]. *)
-
 val write_bench_doc :
   ?meta:(string * Json.t) list ->
   path:string ->
   name:string ->
   Json.t list ->
   unit
-(** Pretty-printed {!bench_doc} written to [path]. *)
+(** Writes the single-document benchmark artifact to [path], pretty-printed:
+    [schema_version], [name], [created_unix], [git_rev], [host], any extra
+    [meta] pairs, and the given ["runs"] array.  Generic over the run
+    payload so every producer ({!result_json} rows, the soaks' rows,
+    [bench/micro]'s ["kind": "micro"] runs) shares the same envelope and
+    validator. *)

@@ -109,7 +109,12 @@ let test_bounded_under_stall (module S : Smr.Smr_intf.S) () =
             (Printf.sprintf "%s at %d domains: max %d under bound %d" S.name
                threads r.c_max_unreclaimed b)
             true
-            (r.c_max_unreclaimed <= b))
+            (r.c_max_unreclaimed <= b);
+          check
+            (Printf.sprintf "%s at %d domains: drained %d under bound %d"
+               S.name threads r.c_post_quiesced b)
+            true
+            (r.c_post_quiesced <= b))
     [ 2; 4 ]
 
 let test_ebr_grows_unbounded () =
@@ -121,7 +126,9 @@ let test_ebr_grows_unbounded () =
     (r.Harness.Experiments.c_bound = None);
   check "growth verdict holds" true r.c_ok;
   check "memory keeps climbing while stalled" true
-    (r.c_last_third > r.c_first_third)
+    (r.c_last_third > r.c_first_third);
+  check "backlog drains once the stall is released" true
+    (r.c_post_quiesced < r.c_max_unreclaimed)
 
 (* --- crashed without end_op: protection must outlive the thread --- *)
 

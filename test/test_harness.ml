@@ -130,24 +130,6 @@ let test_human_numbers () =
   Alcotest.(check string) "kilo" "75.0k" (Harness.Report.human 74992.0);
   Alcotest.(check string) "small" "42" (Harness.Report.human 42.0)
 
-let test_csv_roundtrip () =
-  let path = Filename.temp_file "scot" ".csv" in
-  Harness.Report.write_csv ~path ~header:[ "a"; "b" ]
-    [ [ "1"; "x,y" ]; [ "2"; "plain" ] ];
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  Sys.remove path;
-  Alcotest.(check (list string))
-    "csv content"
-    [ "a,b"; "1,\"x,y\""; "2,plain" ]
-    (List.rev !lines)
-
 let () =
   Alcotest.run "harness"
     [
@@ -174,6 +156,5 @@ let () =
       ( "report",
         [
           Alcotest.test_case "human numbers" `Quick test_human_numbers;
-          Alcotest.test_case "csv roundtrip" `Quick test_csv_roundtrip;
         ] );
     ]

@@ -246,9 +246,9 @@ let test_json_roundtrip_values () =
 let test_bench_file_roundtrip () =
   let r = short_run () in
   let path = Filename.temp_file "BENCH_test" ".json" in
-  Harness.Report.write_bench ~path ~name:"test"
+  Harness.Report.write_bench_doc ~path ~name:"test"
     ~meta:[ ("extra", Harness.Json.String "meta") ]
-    [ r ];
+    [ Harness.Report.result_json r ];
   let contents =
     let ic = open_in_bin path in
     Fun.protect
