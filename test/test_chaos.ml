@@ -130,6 +130,38 @@ let test_ebr_grows_unbounded () =
   check "backlog drains once the stall is released" true
     (r.c_post_quiesced < r.c_max_unreclaimed)
 
+(* A chaos row reaches its BENCH document with the post-release drain, and
+   a soak document carries no [config] block: each row names its own
+   parameters. *)
+let test_chaos_bench_row () =
+  let r =
+    Harness.Experiments.chaos ~threads:2 ~stalled:1 ~duration:0.2 ~range:128
+      ~scheme:(Smr.Registry.find_exn "HP") ()
+  in
+  let path = Filename.temp_file "BENCH_chaos" ".json" in
+  Harness.Report.write_bench_doc ~path ~name:"chaos"
+    [ Harness.Experiments.chaos_run_json r ];
+  let contents =
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  Sys.remove path;
+  let doc = Harness.Json.of_string contents in
+  let open Harness.Json in
+  check "no config block" true (member "config" doc = None);
+  let run =
+    match to_list (member_exn "runs" doc) with
+    | Some [ run ] -> run
+    | _ -> Alcotest.fail "expected exactly one run"
+  in
+  let int_key k = match member_exn k run with Int i -> i | _ -> -1 in
+  check_int "post_quiesced" r.Harness.Experiments.c_post_quiesced
+    (int_key "post_quiesced");
+  check_int "max_unreclaimed" r.c_max_unreclaimed (int_key "max_unreclaimed");
+  check_int "threads" r.c_threads (int_key "threads")
+
 (* --- crashed without end_op: protection must outlive the thread --- *)
 
 (* fault.crash on a running tid arms a crash on the third protected load
@@ -233,7 +265,11 @@ let () =
               `Slow
               (test_bounded_under_stall (module S)))
           robust_schemes
-        @ [ Alcotest.test_case "EBR grows" `Slow test_ebr_grows_unbounded ] );
+        @ [
+            Alcotest.test_case "EBR grows" `Slow test_ebr_grows_unbounded;
+            Alcotest.test_case "BENCH row carries the drain" `Slow
+              test_chaos_bench_row;
+          ] );
       ( "crash regression",
         List.map
           (fun name ->
