@@ -59,11 +59,30 @@ let preset quick =
   if quick then Harness.Experiments.quick_cfg
   else Harness.Experiments.default_cfg
 
-(* The sweep configuration; only the commands that run Figure 12 take
-   [--fig12-range]. *)
-let cfg_term ?(fig12 = false) () =
-  let make threads duration repeats quick fig12_range =
-    let base = preset quick in
+(* Table 2's defaults: restart statistics need enough contention time to
+   be meaningful, so runs last at least 2 s and the thread list reaches 8
+   unless [-d] / [-t] say otherwise. *)
+let table2_preset quick =
+  let base = preset quick in
+  {
+    base with
+    Harness.Experiments.duration = Float.max base.duration 2.0;
+    threads = List.sort_uniq compare (base.threads @ [ 8 ]);
+  }
+
+(* The sweep flags, resolved over a preset (a function of [--quick]): each
+   value given on the command line wins, the preset fills in the rest.
+   [--help] shows [preset]'s values.  Only the commands that run Figure 12
+   take [--fig12-range]. *)
+let sweep_term ?(fig12 = false) ?(preset = preset) () =
+  let absent show field =
+    let full = show (field (preset false))
+    and quick = show (field (preset true)) in
+    if full = quick then full
+    else Printf.sprintf "%s, or %s with $(b,--quick)" full quick
+  in
+  let make threads duration repeats quick fig12_range preset =
+    let (base : Harness.Experiments.cfg) = preset quick in
     {
       Harness.Experiments.threads = Option.value threads ~default:base.threads;
       duration = Option.value duration ~default:base.duration;
@@ -73,8 +92,13 @@ let cfg_term ?(fig12 = false) () =
   in
   Term.(
     const make
-    $ threads_arg ~absent:"1,2,4,8, or 1,2,4 with $(b,--quick)"
-    $ duration_arg ~absent:"2, or 0.4 with $(b,--quick)"
+    $ threads_arg
+        ~absent:
+          (absent
+             (fun ts -> String.concat "," (List.map string_of_int ts))
+             (fun c -> c.Harness.Experiments.threads))
+    $ duration_arg
+        ~absent:(absent (Printf.sprintf "%g") (fun c -> c.duration))
     $ repeats_arg $ quick_arg
     $ if fig12 then fig12_range_arg else const None)
 
@@ -133,16 +157,18 @@ let soak_tail cmd json rows failures =
 let rows = List.map Harness.Report.result_json
 
 (* A sweep command: [body] yields the BENCH rows of its runs under the
-   sweep configuration, which the document records as ["config"]. *)
-let bench_cmd ?fig12 cmd_name doc body =
+   sweep configuration (resolved over [preset]), which the document
+   records as ["config"]. *)
+let bench_cmd ?fig12 ?(preset = preset) cmd_name doc body =
   cmd_of cmd_name doc
     Term.(
-      const (fun cfg json rows_of ->
+      const (fun sweep json rows_of ->
+          let cfg = sweep preset in
           preflight_json json;
           write_json
             ~meta:(Harness.Experiments.cfg_meta cfg)
             ~name:cmd_name json (rows_of cfg))
-      $ cfg_term ?fig12 () $ json_arg $ body)
+      $ sweep_term ?fig12 ~preset () $ json_arg $ body)
 
 let fig8_cmd =
   bench_cmd "fig8"
@@ -175,7 +201,8 @@ let table1_cmd =
       $ quick_arg)
 
 let table2_cmd =
-  bench_cmd "table2" "Restart statistics under HP, Table 2"
+  bench_cmd ~preset:table2_preset "table2"
+    "Restart statistics under HP, Table 2"
     Term.(const (fun cfg -> rows (Harness.Experiments.table2 cfg)))
 
 let ablation_recovery_cmd =
@@ -408,6 +435,22 @@ let recover_cmd =
       $ matrix_threads $ matrix_duration $ json_arg $ smoke $ structure
       $ crashed $ range_arg ~default:256)
 
+(* A soak flag with a [--smoke] preset: the term yields a function of the
+   [--smoke] flag returning the value given on the command line, or else
+   [smoke] or [full]. *)
+let smoke_preset kind ~full ~smoke name ~docv ~doc =
+  let pp v = Format.asprintf "%a" (Arg.conv_printer kind) v in
+  let absent =
+    Printf.sprintf "%s, or %s with $(b,--smoke)" (pp full) (pp smoke)
+  in
+  let given =
+    Arg.(value & opt (some kind) None & info [ name ] ~absent ~docv ~doc)
+  in
+  Term.(
+    const (fun v on ->
+        match v with Some v -> v | None -> if on then smoke else full)
+    $ given)
+
 let serve_cmd =
   let smoke =
     Arg.(
@@ -431,14 +474,12 @@ let serve_cmd =
             "SMR scheme for every shard (NR, EBR, HP, ..., HLN, DBR).")
   in
   let shards =
-    Arg.(
-      value & opt int 4
-      & info [ "shards" ] ~docv:"N" ~doc:"Store shards (one SMR instance each).")
+    smoke_preset Arg.int ~full:4 ~smoke:2 "shards" ~docv:"N"
+      ~doc:"Store shards (one SMR instance each)."
   in
   let workers =
-    Arg.(
-      value & opt int 4
-      & info [ "workers" ] ~docv:"N" ~doc:"Client worker domains.")
+    smoke_preset Arg.int ~full:4 ~smoke:2 "workers" ~docv:"N"
+      ~doc:"Client worker domains."
   in
   let domains =
     Arg.(
@@ -543,10 +584,9 @@ let serve_cmd =
                   (lookup "serve" "mode" ~hint:" (per-op, batched, both)"
                      Scotstore.Serve.mode_of_string m)
           in
-          let shards = if smoke then 2 else shards in
-          let workers = if smoke then 2 else workers in
-          let range = if smoke then 1024 else range in
-          let crash = if smoke then 1 else crash in
+          let shards = shards smoke
+          and workers = workers smoke
+          and range = range smoke in
           if domains > 0 && crash > 0 then
             fail
               "--domains oversubscription needs --crash 0 (the two \
@@ -672,7 +712,8 @@ let serve_cmd =
       $ duration_arg ~absent:"2, or 0.4 with $(b,--smoke)"
       $ repeats_arg $ json_arg $ smoke $ backend $ scheme $ shards $ workers
       $ domains
-      $ range_arg ~default:16384
+      $ smoke_preset Arg.int ~full:16384 ~smoke:1024 "range" ~docv:"N"
+          ~doc:"Key range."
       $ batch $ buckets $ skew $ mix $ phases $ crash $ ttl_pct $ ttl_s $ mode
       $ min_speedup)
 
@@ -706,23 +747,18 @@ let pressure_cmd =
       & info [ "shards" ] ~docv:"N" ~doc:"Store shards (one SMR instance each).")
   in
   let workers =
-    Arg.(
-      value & opt int 6
-      & info [ "workers" ] ~docv:"N" ~doc:"Worker domains (store clients).")
+    smoke_preset Arg.int ~full:6 ~smoke:4 "workers" ~docv:"N"
+      ~doc:"Worker domains (store clients)."
   in
   let domains =
-    Arg.(
-      value & opt int 4
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Runnable cores during the ramp: workers beyond this count are \
-             parked mid-read (oversubscription).")
+    smoke_preset Arg.int ~full:4 ~smoke:3 "domains" ~docv:"N"
+      ~doc:
+        "Runnable cores during the ramp: workers beyond this count are \
+         parked mid-read (oversubscription)."
   in
   let readers =
-    Arg.(
-      value & opt int 2
-      & info [ "readers" ] ~docv:"N"
-          ~doc:"Dedicated reader tids scoring the read-liveness verdict.")
+    smoke_preset Arg.int ~full:2 ~smoke:1 "readers" ~docv:"N"
+      ~doc:"Dedicated reader tids scoring the read-liveness verdict."
   in
   let budget =
     Arg.(
@@ -738,19 +774,23 @@ let pressure_cmd =
       & info [ "deadline" ] ~docv:"SEC" ~doc:"Per-request write deadline.")
   in
   let clean =
-    Arg.(
-      value & opt float 0.4
-      & info [ "clean" ] ~docv:"SEC" ~doc:"Clean (baseline) phase duration.")
+    smoke_preset Arg.float ~full:0.4 ~smoke:0.2 "clean" ~docv:"SEC"
+      ~doc:"Clean (baseline) phase duration."
   in
+  (* The smoke ramp must be long enough for the monitor-only negative
+     control to overflow the reference stall bound — EBR's growth rate is
+     the writers' admitted retire rate, and the bound's dominant per-stall
+     term is [range]. *)
   let ramp =
-    Arg.(
-      value & opt float 0.8
-      & info [ "ramp" ] ~docv:"SEC" ~doc:"Ramp (stalled) phase duration.")
+    smoke_preset Arg.float ~full:0.8 ~smoke:0.5 "ramp" ~docv:"SEC"
+      ~doc:"Ramp (stalled) phase duration."
   in
+  (* Descent is hysteretic and one level at a time, and on an
+     oversubscribed host the gauge carries OS-preemption noise: give the
+     machines room to walk Degraded_all -> Healthy. *)
   let drain =
-    Arg.(
-      value & opt float 0.6
-      & info [ "drain" ] ~docv:"SEC" ~doc:"Drain (recovery) phase duration.")
+    smoke_preset Arg.float ~full:0.6 ~smoke:0.5 "drain" ~docv:"SEC"
+      ~doc:"Drain (recovery) phase duration."
   in
   let ttl_pct =
     Arg.(
@@ -788,21 +828,13 @@ let pressure_cmd =
               in
               [ S.name ]
           in
-          let shards = if smoke then 2 else shards in
-          let workers = if smoke then 4 else workers in
-          let domains = if smoke then 3 else domains in
-          let readers = if smoke then 1 else readers in
-          let range = if smoke then 512 else range in
-          let clean = if smoke then 0.2 else clean in
-          (* The smoke ramp must be long enough for the monitor-only
-             negative control to overflow the reference stall bound —
-             EBR's growth rate is the writers' admitted retire rate, and
-             the bound's dominant per-stall term is [range]. *)
-          let ramp = if smoke then 0.5 else ramp in
-          (* Descent is hysteretic and one level at a time, and on an
-             oversubscribed host the gauge carries OS-preemption noise:
-             give the machines room to walk Degraded_all -> Healthy. *)
-          let drain = if smoke then 0.5 else drain in
+          let workers = workers smoke
+          and domains = domains smoke
+          and readers = readers smoke
+          and range = range smoke
+          and clean = clean smoke
+          and ramp = ramp smoke
+          and drain = drain smoke in
           let run_one name =
             let sm = Smr.Registry.find_exn name in
             (* A neutralizing scheme (DBR) needs a wider neutralization
@@ -871,7 +903,8 @@ let pressure_cmd =
                results))
       $ json_arg $ smoke $ backend $ scheme $ shards $ workers
       $ domains $ readers
-      $ range_arg ~default:2048
+      $ smoke_preset Arg.int ~full:2048 ~smoke:512 "range" ~docv:"N"
+          ~doc:"Key range."
       $ budget $ deadline $ clean $ ramp $ drain $ ttl_pct
       $ ttl_s)
 
@@ -883,9 +916,23 @@ let mixes_cmd =
   bench_cmd "mixes" "Read-dominated and write-only workload mixes (SS 5)"
     Term.(const (fun cfg -> rows (Harness.Experiments.mixes cfg)))
 
+(* [all] resolves the sweep flags twice: Table 2 over its own preset,
+   every other experiment (and the document's ["config"]) over the
+   [--quick] one. *)
 let all_cmd =
-  bench_cmd ~fig12:true "all" "Run every experiment in paper order"
-    Term.(const Harness.Experiments.run_all)
+  cmd_of "all"
+    "Run every experiment in paper order (Table 2 over its own defaults: at \
+     least 2 s per run, and 8 added to the thread list, unless $(b,-d) / \
+     $(b,-t) are given)"
+    Term.(
+      const (fun sweep json ->
+          let cfg = sweep preset in
+          preflight_json json;
+          write_json
+            ~meta:(Harness.Experiments.cfg_meta cfg)
+            ~name:"all" json
+            (Harness.Experiments.run_all ~table2:(sweep table2_preset) cfg))
+      $ sweep_term ~fig12:true () $ json_arg)
 
 let run_cmd =
   let structure =

@@ -996,23 +996,15 @@ let mixes cfg =
     ]
 
 (* Everything, in paper order; returns the BENCH rows of every run so the
-   binaries can emit a combined artifact. *)
-let run_all cfg =
+   binaries can emit a combined artifact.  Table 2 runs under [table2]. *)
+let run_all ~table2:table2_cfg cfg =
   ignore (table1 ~duration:(cfg.duration /. 2.) ());
   let fig8a = fig8 cfg ~range:512 in
   let fig8b = fig8 cfg ~range:10_000 in
   let fig9a = fig9 cfg ~range:128 in
   let fig9b = fig9 cfg ~range:100_000 in
   let fig12_results = fig12 cfg in
-  (* Restart statistics need enough contention time to be meaningful. *)
-  let table2_results =
-    table2
-      {
-        cfg with
-        duration = Float.max cfg.duration 2.0;
-        threads = List.sort_uniq compare (cfg.threads @ [ 8 ]);
-      }
-  in
+  let table2_results = table2 table2_cfg in
   let abl_rec = ablation_recovery cfg in
   let abl_wf = ablation_wf cfg in
   let skiplist_results = fig_skiplist cfg in

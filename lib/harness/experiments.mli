@@ -302,5 +302,6 @@ val fuzz_once :
 (** Run everything in paper order and return the BENCH rows of every
     run: the sweeps' {!Report.result_json} entries, then the stalled-thread
     chaos matrix (every scheme, 4 domains, one parked mid-traversal).
-    Table 1 prints only. *)
-val run_all : cfg -> Json.t list
+    Table 1 prints only.  Table 2 runs under [table2], every other
+    experiment under [cfg]. *)
+val run_all : table2:cfg -> cfg -> Json.t list

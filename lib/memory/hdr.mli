@@ -3,7 +3,15 @@
     The header makes manual reclamation observable in a GC'd language:
     it tracks the node's lifecycle (live / retired / reclaimed), the birth
     and retire eras used by era-based SMR schemes, and a serial number bumped
-    on every reuse so ABA and use-after-free become detectable. *)
+    on every reuse so ABA and use-after-free become detectable.
+
+    The state and serial share one atomic word, so every lifecycle
+    transition is a single CAS.  The birth and retire eras are plain
+    mutable fields, not atomics: each is written before the node is
+    published (by the structure's linking CAS, or by the handover of
+    limbo through atomics) and read only after an atomic load that
+    observes that publication, which orders the write before the read.
+    A stale reader of a recycled node reads either era whole. *)
 
 type state = Live | Retired | Reclaimed
 

@@ -55,6 +55,82 @@ let test_hdr_eras () =
   check_int "birth" 42 (Memory.Hdr.birth h);
   check_int "retire era" 99 (Memory.Hdr.retire_era h)
 
+(* Two heap blocks: the record (3 fields + header) and the one atomic
+   word (1 field + header). *)
+let test_hdr_size () =
+  check_int "reachable words" 6
+    (Obj.reachable_words (Obj.repr (Memory.Hdr.create ())))
+
+let test_hdr_serial_wide () =
+  let h = Memory.Hdr.create () in
+  for _ = 1 to 100_000 do
+    Memory.Hdr.mark_retired h;
+    Memory.Hdr.mark_reclaimed h;
+    Memory.Hdr.mark_live_for_reuse h
+  done;
+  check_int "serial" 100_000 (Memory.Hdr.serial h);
+  check "still decodes live" true (Memory.Hdr.state h = Memory.Hdr.Live);
+  Memory.Hdr.check h
+
+(* Two domains retire the same headers: the state CAS lets exactly one
+   call per header through and rejects the other as a double retire.  The
+   domains meet at a barrier before each block of headers, so they walk
+   every block side by side and really race on its headers. *)
+let test_hdr_retire_race () =
+  let n = 10_000 and block = 50 in
+  let hs = Array.init n (fun _ -> Memory.Hdr.create ()) in
+  let arrived = Atomic.make 0 in
+  let retirer () =
+    let won = Array.make n false in
+    for b = 0 to (n / block) - 1 do
+      Atomic.incr arrived;
+      while Atomic.get arrived < 2 * (b + 1) do
+        Domain.cpu_relax ()
+      done;
+      for i = b * block to ((b + 1) * block) - 1 do
+        match Memory.Hdr.mark_retired hs.(i) with
+        | () -> won.(i) <- true
+        | exception Invalid_argument _ -> ()
+      done
+    done;
+    won
+  in
+  let d1 = Domain.spawn retirer and d2 = Domain.spawn retirer in
+  let w1 = Domain.join d1 and w2 = Domain.join d2 in
+  for i = 0 to n - 1 do
+    if w1.(i) = w2.(i) then
+      Alcotest.failf "header %d: %s" i
+        (if w1.(i) then "both retires succeeded" else "no retire succeeded")
+  done;
+  Array.iter
+    (fun h -> check "retired" true (Memory.Hdr.state h = Memory.Hdr.Retired))
+    hs
+
+(* The plain birth field is published the way a structure publishes a node:
+   written first, then made reachable by an atomic store.  A domain that
+   loads the node through that atomic reads the birth written before it. *)
+let test_hdr_birth_publication () =
+  let rounds = 10_000 in
+  let cell = Atomic.make None in
+  let reader =
+    Domain.spawn (fun () ->
+        let bad = ref 0 and seen = ref 0 in
+        while !seen < rounds do
+          match Atomic.get cell with
+          | Some (i, h) when i > !seen ->
+              if Memory.Hdr.birth h <> i then incr bad;
+              seen := i
+          | _ -> Domain.cpu_relax ()
+        done;
+        !bad)
+  in
+  for i = 1 to rounds do
+    let h = Memory.Hdr.create () in
+    Memory.Hdr.set_birth h i;
+    Atomic.set cell (Some (i, h))
+  done;
+  check_int "births read back" 0 (Domain.join reader)
+
 (* --- Pool recycling --- *)
 
 module IntNode = struct
@@ -188,6 +264,13 @@ let () =
           Alcotest.test_case "double free rejected" `Quick test_hdr_double_free;
           Alcotest.test_case "fault toggle" `Quick test_fault_toggle;
           Alcotest.test_case "eras" `Quick test_hdr_eras;
+          Alcotest.test_case "two-block size" `Quick test_hdr_size;
+          Alcotest.test_case "serial over 100k recycles" `Quick
+            test_hdr_serial_wide;
+          Alcotest.test_case "racing retires: one wins" `Quick
+            test_hdr_retire_race;
+          Alcotest.test_case "birth published by atomic store" `Quick
+            test_hdr_birth_publication;
         ] );
       ( "pool",
         [
