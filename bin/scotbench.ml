@@ -47,6 +47,9 @@ let quick_arg =
   in
   Arg.(value & flag & info [ "quick" ] ~doc)
 
+(* [--smoke]: the CI-sized preset of a soak or panel, described per command. *)
+let smoke_arg doc = Arg.(value & flag & info [ "smoke" ] ~doc)
+
 let fig12_range_arg =
   Arg.(
     value
@@ -101,6 +104,10 @@ let sweep_term ?(fig12 = false) ?(preset = preset) () =
         ~absent:(absent (Printf.sprintf "%g") (fun c -> c.duration))
     $ repeats_arg $ quick_arg
     $ if fig12 then fig12_range_arg else const None)
+
+(* The [--scheme] docs list the registry, so a new scheme shows up in
+   [--help] by itself. *)
+let scheme_names = String.concat ", " Smr.Registry.names
 
 let range_arg ~default =
   let doc = "Key range." in
@@ -232,12 +239,9 @@ let matrix_shape cmd ~smoke threads duration =
 
 let chaos_cmd =
   let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "CI-sized run: 2 domains, short duration, and a quick \
-             use-after-free fuzz on HListUnsafe.")
+    smoke_arg
+      "CI-sized run: 2 domains, short duration, and a quick \
+       use-after-free fuzz on HListUnsafe."
   in
   let fuzz_flag =
     Arg.(
@@ -394,10 +398,7 @@ let chaos_cmd =
 
 let recover_cmd =
   let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:"CI-sized run: 2 domains, one crash, short duration.")
+    smoke_arg "CI-sized run: 2 domains, one crash, short duration."
   in
   let structure =
     Arg.(
@@ -453,12 +454,9 @@ let smoke_preset kind ~full ~smoke name ~docv ~doc =
 
 let serve_cmd =
   let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "CI-sized soak: 2 shards x 2 workers, short duration, one \
-             crashed worker, both dispatch modes.")
+    smoke_arg
+      "CI-sized soak: 2 shards x 2 workers, short duration, one \
+       crashed worker, both dispatch modes."
   in
   let backend =
     Arg.(
@@ -471,7 +469,7 @@ let serve_cmd =
       value & opt string "HLN"
       & info [ "scheme" ] ~docv:"NAME"
           ~doc:
-            "SMR scheme for every shard (NR, EBR, HP, ..., HLN, DBR).")
+            (Printf.sprintf "SMR scheme for every shard (%s)." scheme_names))
   in
   let shards =
     smoke_preset Arg.int ~full:4 ~smoke:2 "shards" ~docv:"N"
@@ -719,12 +717,7 @@ let serve_cmd =
 
 let pressure_cmd =
   let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "CI-sized soak: 2 shards, 4 workers on 3 domains, short \
-             phases.")
+    smoke_arg "CI-sized soak: 2 shards, 4 workers on 3 domains, short phases."
   in
   let backend =
     Arg.(
@@ -908,6 +901,29 @@ let pressure_cmd =
       $ budget $ deadline $ clean $ ramp $ drain $ ttl_pct
       $ ttl_s)
 
+(* Not part of [all]: the panel scores the adaptive controller, not a
+   figure of the paper.  Smoke runs exercise the controller and the BENCH
+   row shape only; they are too short to show the separation. *)
+let tune_cmd =
+  cmd_of "tune"
+    "Self-tuning reclamation thresholds: static limbo thresholds vs the \
+     adaptive controller on a phase-shifting workload with a straggler"
+    Term.(
+      const (fun json smoke ->
+          preflight_json json;
+          let runs =
+            if smoke then
+              Harness.Experiments.tune ~duration:0.4 ~range:512
+                ~statics:[ 16; 256 ] ~oracles:[] ()
+            else Harness.Experiments.tune ()
+          in
+          write_json ~name:"tune" json
+            (List.map Harness.Experiments.tune_run_json runs))
+      $ json_arg
+      $ smoke_arg
+          "CI-sized panel: 0.4 s per run, range 512, statics 16 and 256, \
+           no oracle thresholds.")
+
 let fig_skiplist_cmd =
   bench_cmd "fig-skiplist" "SkipList SCOT vs Herlihy-Shavit searches (extension)"
     Term.(const (fun cfg -> rows (Harness.Experiments.fig_skiplist cfg)))
@@ -945,7 +961,7 @@ let run_cmd =
     Arg.(
       value & opt string "HP"
       & info [ "scheme" ] ~docv:"NAME"
-          ~doc:"SMR scheme (NR, EBR, HP, HPopt, HE, IBR, HLN).")
+          ~doc:(Printf.sprintf "SMR scheme (%s)." scheme_names))
   in
   let mix =
     Arg.(
@@ -1028,6 +1044,6 @@ let () =
             fig8_cmd; fig9_cmd; fig12_cmd; table1_cmd; table2_cmd;
             ablation_recovery_cmd; ablation_wf_cmd; fig_skiplist_cmd;
             mixes_cmd; chaos_cmd; recover_cmd; serve_cmd; pressure_cmd;
-            all_cmd;
+            tune_cmd; all_cmd;
             run_cmd;
           ]))

@@ -627,6 +627,150 @@ let stall_cmp_json ~structure ~threads ~stalled ~point ~range ~duration
              runs) );
     ]
 
+(* {2 Self-tuning reclamation thresholds} *)
+
+(* One IBR SkipList run per reclamation mode on a phase-shifting workload
+   (churn / read / drain cycling) with one extra participant stalled
+   mid-traversal for the first 60% of the run, then resumed.  While the
+   reader is stalled its reservation pins every retire, so any static
+   threshold the pinned set outgrows degenerates to a full limbo scan per
+   retire; the adaptive controller doubles out of that regime.  The score
+   is adaptive throughput vs the best static whose peak unreclaimed gauge
+   stayed within 1.1x of the adaptive run's (the "equal memory ceiling"
+   comparison: larger statics buy throughput with memory). *)
+
+type tune_run = {
+  tn_mode : string; (* "static" | "oracle" | "adaptive" *)
+  tn_threshold : int; (* static value, or the adaptive starting point *)
+  tn_tuned : int; (* final controller threshold (= tn_threshold if static) *)
+  tn_run : Runner.result;
+  tn_speedup : float option; (* adaptive: vs best qualifying static *)
+}
+
+let stat (r : Runner.result) k =
+  Option.value ~default:0 (List.assoc_opt k r.scheme_stats)
+
+let tune_one ~duration ~range ~mode ~adaptive ~threshold =
+  let threads = 3 in
+  let workers = threads - 1 in
+  let releaser = ref None in
+  let r =
+    Runner.run
+      ~config:
+        (Smr.Smr_intf.make_config ~limbo_threshold:threshold ~epoch_freq:16
+           ~batch_size:8 ~adaptive ~threads ())
+      ~workers
+      ~phases:(Workload.phases_of_string "churn:0.2,read:0.1,drain:0.1")
+      ~check:false ~measure_latency:false
+      ~prepare:(fun inst ->
+        inst.Instance.fault.stall ~tid:workers ~point:"read";
+        (* Resume the straggler at 60% of the run so the drain phases at
+           the tail reclaim the backlog under every mode. *)
+        releaser :=
+          Some
+            (Domain.spawn (fun () ->
+                 Unix.sleepf (duration *. 0.6);
+                 inst.Instance.fault.resume ~tid:workers)))
+      ~finish:(fun _ -> Option.iter Domain.join !releaser)
+      ~builder:(Instance.find_builder_exn "SkipList")
+      ~scheme:(Smr.Registry.find_exn "IBR") ~threads ~range ~duration ()
+  in
+  {
+    tn_mode = mode;
+    tn_threshold = threshold;
+    tn_tuned =
+      Option.value ~default:threshold
+        (List.assoc_opt "tuned_threshold" r.scheme_stats);
+    tn_run = r;
+    tn_speedup = None;
+  }
+
+let tune ?(duration = 2.0) ?(range = 8192) ?(statics = [ 16; 64; 256; 1024 ])
+    ?(oracles = [ 4096; 8192 ]) () =
+  if statics = [] then invalid_arg "Experiments.tune: empty statics list";
+  let static mode t =
+    tune_one ~duration ~range ~mode ~adaptive:`Off ~threshold:t
+  in
+  let static_runs = List.map (static "static") statics in
+  (* Oracle statics already know this workload's pinned-set size, a choice
+     only hindsight provides: they are reported but kept out of the
+     speedup, which scores self-tuning against a threshold picked at
+     config time. *)
+  let oracle_runs = List.map (static "oracle") oracles in
+  let lo = 16 in
+  let adaptive =
+    tune_one ~duration ~range ~mode:"adaptive" ~threshold:lo
+      ~adaptive:
+        (`On { Smr.Smr_intf.min_threshold = lo; max_threshold = 65_536 })
+  in
+  let ceiling = 1.1 *. float_of_int adaptive.tn_run.max_unreclaimed in
+  let qualifying =
+    List.filter
+      (fun r -> float_of_int r.tn_run.max_unreclaimed <= ceiling)
+      static_runs
+  in
+  let best_static =
+    List.fold_left
+      (fun best r -> Float.max best r.tn_run.throughput)
+      0.0
+      (if qualifying <> [] then qualifying else static_runs)
+  in
+  let runs =
+    static_runs @ oracle_runs
+    @ [
+        {
+          adaptive with
+          tn_speedup = Some (adaptive.tn_run.throughput /. best_static);
+        };
+      ]
+  in
+  Report.section
+    "Self-tuning reclamation threshold (phase-shifting workload, one \
+     straggler for the first 60%)";
+  Report.table
+    ~header:
+      [ "mode"; "threshold"; "tuned"; "ops"; "ops/s"; "max_unreclaimed";
+        "sweeps"; "scanned"; "speedup" ]
+    (List.map
+       (fun t ->
+         let r = t.tn_run in
+         [
+           t.tn_mode;
+           string_of_int t.tn_threshold;
+           string_of_int t.tn_tuned;
+           string_of_int r.ops;
+           Report.human r.throughput;
+           string_of_int r.max_unreclaimed;
+           string_of_int (stat r "sweep_passes");
+           Report.human (float_of_int (stat r "sweep_scanned"));
+           (match t.tn_speedup with
+           | Some s -> Printf.sprintf "%.2fx vs best static <= ceiling" s
+           | None -> "-");
+         ])
+       runs);
+  runs
+
+let tune_run_json t =
+  let r = t.tn_run in
+  Json.Obj
+    ([
+       ("kind", Json.String "tune");
+       ("scheme", Json.String r.scheme);
+       ("structure", Json.String r.structure);
+       ("threads", Json.Int r.threads);
+       ("mode", Json.String t.tn_mode);
+       ("threshold", Json.Int t.tn_threshold);
+       ("tuned_threshold", Json.Int t.tn_tuned);
+       ("ops", Json.Int r.ops);
+       ("duration", Json.Float r.duration);
+       ("throughput", Json.Float r.throughput);
+       ("max_unreclaimed", Json.Int r.max_unreclaimed);
+       ("sweeps", Json.Int (stat r "sweep_passes"));
+       ("scanned", Json.Int (stat r "sweep_scanned"));
+     ]
+    @ Option.fold ~none:[] ~some:(fun s -> [ ("speedup", Json.Float s) ])
+        t.tn_speedup)
+
 (* {2 Recovery: crash k domains mid-traversal, supervise, validate} *)
 
 type recover_run = {

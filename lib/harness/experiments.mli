@@ -189,6 +189,39 @@ val stall_cmp_json :
   Json.t
 (** ["kind": "stall_cmp"] entry for {!Report.write_bench_doc}. *)
 
+(** {2 Self-tuning reclamation thresholds} *)
+
+type tune_run = {
+  tn_mode : string;  (** ["static"], ["oracle"] or ["adaptive"] *)
+  tn_threshold : int;
+      (** the static limbo threshold, or the adaptive starting point *)
+  tn_tuned : int;
+      (** the controller's final threshold ([= tn_threshold] if static) *)
+  tn_run : Runner.result;
+  tn_speedup : float option;
+      (** adaptive only: throughput over the best static whose peak
+          unreclaimed gauge stayed within 1.1x of the adaptive run's *)
+}
+
+(** IBR on the SkipList, 3 domains, a churn/read/drain phase cycle, and one
+    participant stalled mid-traversal for the first 60% of each run: one
+    run per static threshold in [statics] (default 16, 64, 256, 1024), per
+    hindsight threshold in [oracles] (default 4096, 8192; reported, never
+    scored), then the adaptive controller from 16 (bounds 16-65536).
+    [duration] defaults to 2 s per run, [range] to 8192.  Prints the panel
+    and returns the runs in that order.  Raises [Invalid_argument] when
+    [statics] is empty. *)
+val tune :
+  ?duration:float ->
+  ?range:int ->
+  ?statics:int list ->
+  ?oracles:int list ->
+  unit ->
+  tune_run list
+
+val tune_run_json : tune_run -> Json.t
+(** ["kind": "tune"] run entry for {!Report.write_bench_doc}. *)
+
 (** {2 Recovery: supervised crash-and-adopt validation} *)
 
 type recover_run = {

@@ -51,6 +51,6 @@ val write_bench_doc :
 (** Writes the single-document benchmark artifact to [path], pretty-printed:
     [schema_version], [name], [created_unix], [git_rev], [host], any extra
     [meta] pairs, and the given ["runs"] array.  Generic over the run
-    payload so every producer ({!result_json} rows, the soaks' rows,
-    [bench/micro]'s ["kind": "micro"] runs) shares the same envelope and
+    payload so every producer ({!result_json} rows, the soaks' rows, the
+    tune panel's ["kind": "tune"] rows) shares the same envelope and
     validator. *)

@@ -3,24 +3,13 @@
 documented in EXPERIMENTS.md ("Machine-readable output").
 
 Usage: scripts/validate_bench.py BENCH_file.json [...]
-       scripts/validate_bench.py --compare OLD.json NEW.json
 
 Validation exits non-zero with a message on the first violation.  Kept in
 sync with Harness.Report.schema_version (currently 1).
-
---compare matches runs between two artifacts by their identity key
-(kind/bench/structure/scheme/threads/op and, for workload runs, range+mix)
-and warns about throughput regressions greater than 10% and about
-minor-words-per-op increases greater than 0.005.  It always exits 0: the
-numbers from CI runners are too noisy to gate a merge on, so the report is
-advisory (warn-only).
 """
 
 import json
 import sys
-
-THROUGHPUT_REGRESSION = 0.10  # warn when NEW is >10% below OLD
-MINOR_WORDS_SLACK = 0.005  # warn when words/op grows by more than this
 
 SCHEMA_VERSION = 1
 
@@ -57,36 +46,6 @@ OP_STAT_KEYS = {
     "hist": list,
 }
 
-# bench/micro emits runs with "kind": "micro" (hot-path microbenchmarks);
-# runs without a "kind" are the classic mixed-workload shape above.
-MICRO_RUN_KEYS = {
-    "kind": str,
-    "bench": str,
-    "scheme": str,
-    "threads": int,
-    "ops": int,
-    "duration": (int, float),
-    "throughput": (int, float),
-}
-
-MICRO_BENCHES = (
-    "retire",
-    "retire-stall",
-    "retire-allocs",
-    "counter-incr",
-    "ops",
-    "ops-timed",
-    "op-allocs",
-)
-
-# Optional micro-run keys: "ops" runs carry the structure they drive,
-# "op-allocs" runs additionally carry the audited operation.
-MICRO_OPTIONAL_KEYS = {
-    "minor_words_per_op": (int, float),
-    "structure": str,
-    "op": str,
-}
-
 # `scotbench chaos` emits runs with "kind": "chaos" (bounded-memory
 # validation under injected stalls; "bound" is null for non-robust
 # schemes) and "kind": "fuzz" (random-schedule use-after-free hunts;
@@ -114,7 +73,7 @@ CHAOS_RUN_KEYS = {
 
 CHAOS_POINTS = ("start_op", "read", "retire", "reclaim")
 
-# bench/micro --tune emits runs with "kind": "tune" (static reclamation
+# `scotbench tune` emits runs with "kind": "tune" (static reclamation
 # thresholds vs the adaptive controller on a phase-shifting workload);
 # only the adaptive run carries "speedup".
 TUNE_RUN_KEYS = {
@@ -357,20 +316,6 @@ def validate(path):
 
     for i, run in enumerate(runs):
         where = f"runs[{i}]"
-        if run.get("kind") == "micro":
-            require(path, run, MICRO_RUN_KEYS, where)
-            if run["bench"] not in MICRO_BENCHES:
-                fail(path, f"{where}.bench = {run['bench']!r}")
-            if run["ops"] < 0 or run["duration"] < 0 or run["throughput"] < 0:
-                fail(path, f"{where} negative ops/duration/throughput")
-            for key, typ in MICRO_OPTIONAL_KEYS.items():
-                if key in run and not isinstance(run[key], typ):
-                    fail(path, f"{where}.{key} has type "
-                               f"{type(run[key]).__name__}")
-            if run["bench"] == "op-allocs" and \
-                    run.get("op") not in ("search", "insert", "delete"):
-                fail(path, f"{where}.op = {run.get('op')!r}")
-            continue
         if run.get("kind") == "chaos":
             require(path, run, CHAOS_RUN_KEYS, where)
             if run["point"] not in CHAOS_POINTS:
@@ -616,85 +561,8 @@ def validate(path):
     print(f"{path}: OK ({len(runs)} runs, schema v{SCHEMA_VERSION})")
 
 
-def run_key(run):
-    """Identity of a run for cross-artifact matching."""
-    if run.get("kind") == "micro":
-        return ("micro", run["bench"], run.get("structure"),
-                run["scheme"], run["threads"], run.get("op"))
-    if run.get("kind") == "chaos":
-        return ("chaos", run["structure"], run["scheme"], run["threads"],
-                run["stalled"], run["point"], run["range"])
-    if run.get("kind") == "recovery":
-        return ("recovery", run["structure"], run["scheme"],
-                run["threads"], run["crashed"], run["range"])
-    if run.get("kind") == "tune":
-        return ("tune", run["structure"], run["scheme"], run["threads"],
-                run["mode"], run["threshold"])
-    if run.get("kind") == "floor":
-        return ("floor", run["structure"], run["scheme"], run["threads"],
-                run["range"])
-    if run.get("kind") == "stall_cmp":
-        return ("stall_cmp", run["structure"], run["threads"],
-                run["stalled"], run["point"], run["range"])
-    if run.get("kind") == "fuzz":
-        return ("fuzz", run["structure"], run["scheme"])
-    if run.get("kind") == "serve":
-        return ("serve", run["mode"], run["backend"], run["scheme"],
-                run["shards"], run["threads"], run["range"])
-    if run.get("kind") == "pressure":
-        return ("pressure", run["backend"], run["scheme"], run["shards"],
-                run["workers"], run["domains"], run["range"])
-    mix = run["mix"]
-    return ("workload", run["structure"], run["scheme"], run["threads"],
-            run["range"], mix.get("read_pct"), mix.get("insert_pct"),
-            mix.get("delete_pct"))
-
-
-def compare(old_path, new_path):
-    """Warn-only regression report between two validated artifacts."""
-    validate(old_path)
-    validate(new_path)
-    with open(old_path) as f:
-        old_runs = {run_key(r): r for r in json.load(f)["runs"]}
-    with open(new_path) as f:
-        new_runs = {run_key(r): r for r in json.load(f)["runs"]}
-
-    matched = 0
-    warnings = 0
-    for key, new in new_runs.items():
-        old = old_runs.get(key)
-        if old is None:
-            continue
-        matched += 1
-        label = "/".join(str(p) for p in key if p is not None)
-        old_tp, new_tp = old.get("throughput"), new.get("throughput")
-        if old_tp is None or new_tp is None:
-            continue  # fuzz runs carry no throughput
-        if old_tp > 0 and new_tp < old_tp * (1 - THROUGHPUT_REGRESSION):
-            warnings += 1
-            print(f"WARN {label}: throughput {old_tp:.3g} -> {new_tp:.3g} "
-                  f"({100 * (new_tp / old_tp - 1):+.1f}%)")
-        old_mw = old.get("minor_words_per_op")
-        new_mw = new.get("minor_words_per_op")
-        if old_mw is not None and new_mw is not None and \
-                new_mw > old_mw + MINOR_WORDS_SLACK:
-            warnings += 1
-            print(f"WARN {label}: minor words/op {old_mw:.3f} -> {new_mw:.3f}")
-    dropped = sorted(set(old_runs) - set(new_runs))
-    for key in dropped:
-        print("NOTE missing from NEW: "
-              + "/".join(str(p) for p in key if p is not None))
-    print(f"compare: {matched} matched runs, {warnings} warnings, "
-          f"{len(dropped)} old runs without a match (advisory only)")
-
-
 if __name__ == "__main__":
     if len(sys.argv) < 2:
         sys.exit(__doc__)
-    if sys.argv[1] == "--compare":
-        if len(sys.argv) != 4:
-            sys.exit("--compare takes exactly two artifacts: OLD NEW")
-        compare(sys.argv[2], sys.argv[3])
-    else:
-        for arg in sys.argv[1:]:
-            validate(arg)
+    for arg in sys.argv[1:]:
+        validate(arg)

@@ -130,6 +130,14 @@ let test_ebr_grows_unbounded () =
   check "backlog drains once the stall is released" true
     (r.c_post_quiesced < r.c_max_unreclaimed)
 
+(* [rows] written through [Report.write_bench_doc] and parsed back. *)
+let bench_roundtrip ~name rows =
+  let path = Filename.temp_file ("BENCH_" ^ name) ".json" in
+  Harness.Report.write_bench_doc ~path ~name rows;
+  let contents = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  Harness.Json.of_string contents
+
 (* A chaos row reaches its BENCH document with the post-release drain, and
    a soak document carries no [config] block: each row names its own
    parameters. *)
@@ -138,17 +146,9 @@ let test_chaos_bench_row () =
     Harness.Experiments.chaos ~threads:2 ~stalled:1 ~duration:0.2 ~range:128
       ~scheme:(Smr.Registry.find_exn "HP") ()
   in
-  let path = Filename.temp_file "BENCH_chaos" ".json" in
-  Harness.Report.write_bench_doc ~path ~name:"chaos"
-    [ Harness.Experiments.chaos_run_json r ];
-  let contents =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
+  let doc =
+    bench_roundtrip ~name:"chaos" [ Harness.Experiments.chaos_run_json r ]
   in
-  Sys.remove path;
-  let doc = Harness.Json.of_string contents in
   let open Harness.Json in
   check "no config block" true (member "config" doc = None);
   let run =
@@ -161,6 +161,39 @@ let test_chaos_bench_row () =
     (int_key "post_quiesced");
   check_int "max_unreclaimed" r.c_max_unreclaimed (int_key "max_unreclaimed");
   check_int "threads" r.c_threads (int_key "threads")
+
+(* A tiny tune panel through its BENCH document: statics keep their
+   threshold, the one adaptive row carries the speedup, and every row is a
+   ["kind": "tune"] row. *)
+let test_tune_bench_rows () =
+  let runs =
+    Harness.Experiments.tune ~duration:0.1 ~range:512 ~statics:[ 16; 256 ]
+      ~oracles:[] ()
+  in
+  let doc =
+    bench_roundtrip ~name:"tune"
+      (List.map Harness.Experiments.tune_run_json runs)
+  in
+  let open Harness.Json in
+  let rows = Option.get (to_list (member_exn "runs" doc)) in
+  let str k row = match member k row with Some (String s) -> s | _ -> "" in
+  let int k row = match member k row with Some (Int i) -> i | _ -> -1 in
+  check_int "one row per run" (List.length runs) (List.length rows);
+  check "every row is a tune row" true
+    (List.for_all (fun row -> str "kind" row = "tune") rows);
+  List.iter
+    (fun row ->
+      if str "mode" row = "static" then
+        check_int "static keeps its threshold" (int "threshold" row)
+          (int "tuned_threshold" row))
+    rows;
+  match List.filter (fun row -> str "mode" row = "adaptive") rows with
+  | [ adaptive ] ->
+      check "adaptive carries a positive speedup" true
+        (match Option.bind (member "speedup" adaptive) number with
+        | Some s -> s > 0.0
+        | None -> false)
+  | _ -> Alcotest.fail "expected exactly one adaptive row"
 
 (* --- crashed without end_op: protection must outlive the thread --- *)
 
@@ -269,6 +302,8 @@ let () =
             Alcotest.test_case "EBR grows" `Slow test_ebr_grows_unbounded;
             Alcotest.test_case "BENCH row carries the drain" `Slow
               test_chaos_bench_row;
+            Alcotest.test_case "tune panel BENCH rows" `Slow
+              test_tune_bench_rows;
           ] );
       ( "crash regression",
         List.map

@@ -439,33 +439,67 @@ let config_huge_adaptive =
         })
     ~threads:1 ()
 
-(* The HList operation fast paths must allocate zero minor words once the
-   node pool is warm: staged protected loads, canonical link records,
-   prebuilt retire records and handle-owned traversal scratch leave nothing
-   to cons.  Asserted for EBR/HP/HPopt/HE/IBR/DBR; NR's insert legitimately
-   allocates (it never reclaims, so the freelist stays empty) and
-   Hyaline-1S pays a by-design per-op cons for its batch reference. *)
-let test_zero_alloc_ops_with ~config (module S : Smr.Smr_intf.S) () =
+(* The HList operations under audit, bound to tid 0 and reached one of two
+   ways: the structure functor directly, or the type-erased
+   [Harness.Instance] closures every benchmark run and store shard calls
+   through. *)
+type hlist_ops = {
+  search : int -> bool;
+  insert : int -> bool;
+  delete : int -> bool;
+  quiesce : unit -> unit;
+}
+
+let functor_ops ~config (module S : Smr.Smr_intf.S) =
   let module L = Scot.Harris_list.Make (S) in
   let smr =
     S.create ~config ~threads:1 ~slots:Scot.Harris_list.slots_needed ()
   in
-  let t = L.create ~smr ~threads:1 () in
-  let h = L.handle t ~tid:0 in
+  let h = L.handle (L.create ~smr ~threads:1 ()) ~tid:0 in
+  {
+    search = L.search h;
+    insert = L.insert h;
+    delete = L.delete h;
+    quiesce = (fun () -> L.quiesce h);
+  }
+
+let instance_ops ~config scheme =
+  let inst =
+    (Harness.Instance.find_builder_exn "HList").build scheme ~threads:1
+      ~config ()
+  in
+  let tid = 0 in
+  {
+    search = (fun k -> inst.search ~tid k);
+    insert = (fun k -> inst.insert ~tid k);
+    delete = (fun k -> inst.delete ~tid k);
+    quiesce = (fun () -> inst.quiesce ~tid);
+  }
+
+(* The HList operation fast paths must allocate zero minor words once the
+   node pool is warm: staged protected loads, canonical link records,
+   prebuilt retire records and handle-owned traversal scratch leave nothing
+   to cons, and the erased instance closures add nothing on top.  Asserted
+   per operation for EBR/HP/HPopt/HE/IBR/DBR; NR's insert legitimately
+   allocates (it never reclaims, so the freelist stays empty) and
+   Hyaline-1S pays a by-design per-op cons for its batch reference. *)
+let test_zero_alloc_ops_with ~config ~path (module S : Smr.Smr_intf.S) () =
+  let ops = path ~config (module S : Smr.Smr_intf.S) in
   let keys = 64 in
+  let odd = keys / 2 in
   (* Warm-up: prime the freelist, grow the limbo buffers, touch every
      traversal path. *)
   for _ = 1 to 4 do
     for k = 0 to keys - 1 do
-      ignore (L.insert h k)
+      ignore (ops.insert k)
     done;
-    for i = 0 to (keys / 2) - 1 do
-      ignore (L.delete h ((2 * i) + 1))
+    for i = 0 to odd - 1 do
+      ignore (ops.delete ((2 * i) + 1))
     done;
     for k = 0 to keys - 1 do
-      ignore (L.search h k)
+      ignore (ops.search k)
     done;
-    L.quiesce h
+    ops.quiesce ()
   done;
   (* What a back-to-back pair of [Gc.minor_words] calls itself allocates
      (the boxed float results). *)
@@ -474,40 +508,34 @@ let test_zero_alloc_ops_with ~config (module S : Smr.Smr_intf.S) () =
     let b = Gc.minor_words () in
     b -. a
   in
-  let assertable =
-    match S.name with
-    | "EBR" | "HP" | "HPopt" | "HE" | "IBR" | "DBR" -> true
-    | _ -> false
+  let words f n =
+    let before = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      ignore (f i)
+    done;
+    Gc.minor_words () -. before -. overhead
   in
-  (* Full searches across hits, misses and the whole key range. *)
-  let before = Gc.minor_words () in
-  for k = 0 to keys - 1 do
-    ignore (L.search h k)
-  done;
-  let search_words = Gc.minor_words () -. before -. overhead in
-  (* Insert + delete cycles over the (absent) odd keys: allocation comes
+  (* Full searches across hits, misses and the whole key range, then
+     insert + delete cycles over the (absent) odd keys: allocation comes
      from the warm freelist, retire hands over the prebuilt record. *)
-  let before = Gc.minor_words () in
-  for i = 0 to (keys / 2) - 1 do
-    ignore (L.insert h ((2 * i) + 1))
-  done;
-  for i = 0 to (keys / 2) - 1 do
-    ignore (L.delete h ((2 * i) + 1))
-  done;
-  let wr_words = Gc.minor_words () -. before -. overhead in
-  L.quiesce h;
-  if assertable then begin
-    check
-      (Printf.sprintf "%s: searches allocate nothing (got %.2f words)" S.name
-         search_words)
-      true
-      (search_words <= 0.01);
-    check
-      (Printf.sprintf "%s: insert+delete allocate nothing (got %.2f words)"
-         S.name wr_words)
-      true
-      (wr_words <= 0.01)
-  end
+  let search_words = words ops.search keys in
+  let insert_words = words (fun i -> ops.insert ((2 * i) + 1)) odd in
+  let delete_words = words (fun i -> ops.delete ((2 * i) + 1)) odd in
+  ops.quiesce ();
+  match S.name with
+  | "EBR" | "HP" | "HPopt" | "HE" | "IBR" | "DBR" ->
+      List.iter
+        (fun (op, w) ->
+          check
+            (Printf.sprintf "%s: %s allocates nothing (got %.2f words)" S.name
+               op w)
+            true (w <= 0.01))
+        [
+          ("search", search_words);
+          ("insert", insert_words);
+          ("delete", delete_words);
+        ]
+  | _ -> ()
 
 let test_zero_alloc_ops = test_zero_alloc_ops_with ~config:config_huge
 
@@ -849,10 +877,16 @@ let () =
             test_debra_parked_delivery;
         ] );
       ("eras", per_scheme "era stamping" test_era_stamping);
-      ("op-allocs", per_scheme "zero-alloc HList ops" test_zero_alloc_ops);
+      ( "op-allocs",
+        per_scheme "zero-alloc HList ops"
+          (test_zero_alloc_ops ~path:functor_ops)
+        @ per_scheme "zero-alloc HList ops via Instance"
+            (test_zero_alloc_ops ~path:instance_ops) );
       ( "op-allocs-adaptive",
         per_scheme "zero-alloc HList ops with tuner on"
-          test_zero_alloc_ops_adaptive );
+          (test_zero_alloc_ops_adaptive ~path:functor_ops)
+        @ per_scheme "zero-alloc HList ops via Instance with tuner on"
+            (test_zero_alloc_ops_adaptive ~path:instance_ops) );
       ("reader-law", List.map test_reader_law Smr.Registry.all);
       ("guard-law", List.map test_guarded_read_law Smr.Registry.all);
       ( "end-op-unpublishes",
