@@ -109,6 +109,13 @@ let sweep_term ?(fig12 = false) ?(preset = preset) () =
    [--help] by itself. *)
 let scheme_names = String.concat ", " Smr.Registry.names
 
+let point_names =
+  String.concat ", " (List.map Smr.Probe.point_name Smr.Probe.all_points)
+
+let structure_names =
+  String.concat ", "
+    (List.map (fun b -> b.Harness.Instance.name) Harness.Instance.builders)
+
 let range_arg ~default =
   let doc = "Key range." in
   Arg.(value & opt int default & info [ "range" ] ~docv:"N" ~doc)
@@ -151,6 +158,23 @@ let lookup cmd ?(hint = "") what find name =
   match find name with
   | Some v -> v
   | None -> die cmd "unknown --%s %s%s" what name hint
+
+(* [--structure] and [--point] resolve before any run starts; the
+   matrices take the canonical names and look them up again. *)
+let builder_of cmd name =
+  lookup cmd
+    ~hint:(Printf.sprintf " (%s)" structure_names)
+    "structure" Harness.Instance.find_builder name
+
+let structure_of cmd name = (builder_of cmd name).Harness.Instance.name
+
+let point_of cmd name =
+  Smr.Probe.point_name
+    (lookup cmd
+       ~hint:(Printf.sprintf " (%s)" point_names)
+       "point"
+       (fun n -> Result.to_option (Smr.Probe.point_of_string n))
+       name)
 
 (* A soak document has no ["config"]: its rows carry their own
    parameters. *)
@@ -262,8 +286,8 @@ let chaos_cmd =
       value & opt string "read"
       & info [ "point" ] ~docv:"POINT"
           ~doc:
-            "Injection point the stalled domain parks at (start_op, read, \
-             retire, reclaim).")
+            (Printf.sprintf "Injection point the stalled domain parks at (%s)."
+               point_names))
   in
   let scheme =
     Arg.(
@@ -282,6 +306,8 @@ let chaos_cmd =
       const (fun threads duration json smoke do_fuzz structure point scheme_name
                 range ->
           preflight_json json;
+          let structure = structure_of "chaos" structure
+          and point = point_of "chaos" point in
           let scheme_name =
             match String.lowercase_ascii scheme_name with
             | "debra" -> "DBR"
@@ -289,10 +315,7 @@ let chaos_cmd =
           in
           let schemes =
             if String.lowercase_ascii scheme_name = "all" then None
-            else
-              match Smr.Registry.find scheme_name with
-              | Some s -> Some [ s ]
-              | None -> die "chaos" "unknown scheme %s" scheme_name
+            else Some [ lookup "chaos" "scheme" Smr.Registry.find scheme_name ]
           in
           let threads_list, duration =
             matrix_shape "chaos" ~smoke threads duration
@@ -418,6 +441,7 @@ let recover_cmd =
     Term.(
       const (fun threads duration json smoke structure crashed range ->
           preflight_json json;
+          let structure = structure_of "recover" structure in
           let threads_list, duration =
             matrix_shape "recover" ~smoke threads duration
           in
@@ -478,16 +502,6 @@ let serve_cmd =
   let workers =
     smoke_preset Arg.int ~full:4 ~smoke:2 "workers" ~docv:"N"
       ~doc:"Client worker domains."
-  in
-  let domains =
-    Arg.(
-      value & opt int 0
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Runnable cores (0 = all workers).  Fewer than --workers \
-             oversubscribes: the excess workers are parked mid-request \
-             and rotated back in at the sample cadence.  Requires \
-             --crash 0.")
   in
   let batch =
     Arg.(
@@ -557,10 +571,9 @@ let serve_cmd =
      batched vs per-op SMR bracket dispatch, supervised crash recovery"
     Term.(
       const (fun duration repeats json smoke backend scheme shards workers
-                domains range batch buckets skew mix phases crash ttl_pct ttl_s
-                mode min_speedup ->
+                range batch buckets skew mix phases crash ttl_pct ttl_s mode
+                min_speedup ->
           preflight_json json;
-          let fail fmt = die "serve" fmt in
           let parse what = parse "serve" what in
           let backend =
             lookup "serve" "backend" ~hint:" (hashmap or skiplist)"
@@ -585,10 +598,6 @@ let serve_cmd =
           let shards = shards smoke
           and workers = workers smoke
           and range = range smoke in
-          if domains > 0 && crash > 0 then
-            fail
-              "--domains oversubscription needs --crash 0 (the two \
-               adversaries share chaos cells)";
           let duration =
             Option.value duration
               ~default:
@@ -612,7 +621,6 @@ let serve_cmd =
               sv_ttl_pct = ttl_pct;
               sv_ttl_s = ttl_s;
               sv_crash = crash;
-              sv_domains = (if domains > 0 then Some domains else None);
             }
           in
           let module Sv = Scotstore.Serve in
@@ -709,7 +717,6 @@ let serve_cmd =
             | _ -> []))
       $ duration_arg ~absent:"2, or 0.4 with $(b,--smoke)"
       $ repeats_arg $ json_arg $ smoke $ backend $ scheme $ shards $ workers
-      $ domains
       $ smoke_preset Arg.int ~full:16384 ~smoke:1024 "range" ~docv:"N"
           ~doc:"Key range."
       $ batch $ buckets $ skew $ mix $ phases $ crash $ ttl_pct $ ttl_s $ mode
@@ -1001,6 +1008,8 @@ let run_cmd =
       const (fun threads duration json structure scheme range (r, i, d) skew
                 phases domains ->
           preflight_json json;
+          let builder = builder_of "run" structure
+          and scheme = lookup "run" "scheme" Smr.Registry.find scheme in
           let parse what = parse "run" what in
           let skew = parse "skew" Harness.Workload.skew_of_string skew in
           let phases =
@@ -1014,9 +1023,7 @@ let run_cmd =
                   ~mix:(Harness.Workload.mix ~read:r ~insert:i ~delete:d)
                   ~skew ~phases
                   ?domains:(if domains > 0 then Some domains else None)
-                  ~builder:(Harness.Instance.find_builder_exn structure)
-                  ~scheme:(Smr.Registry.find_exn scheme)
-                  ~threads ~range
+                  ~builder ~scheme ~threads ~range
                   ~duration:
                     (Option.value duration
                        ~default:Harness.Experiments.default_cfg.duration)

@@ -282,7 +282,7 @@ let retire th (r : Smr_intf.reclaimable) =
   Memory.Hdr.mark_retired r.hdr;
   Memory.Hdr.set_retire_era r.hdr (Atomic.get t.epoch);
   Limbo_local.push th.limbo r;
-  if Limbo_local.retires th.limbo mod Limbo_local.epoch_freq th.limbo = 0 then
+  if Limbo_local.retires th.limbo mod t.config.epoch_freq = 0 then
     Atomic.incr t.epoch;
   if Limbo_local.length th.limbo >= Limbo_local.threshold th.limbo then
     reclaim_pass th

@@ -214,8 +214,8 @@ let retire th (r : Smr_intf.reclaimable) =
   Memory.Hdr.set_retire_era r.hdr (Atomic.get t.era);
   Limbo_local.push th.pending r;
   th.pending_min_birth <- min th.pending_min_birth (Memory.Hdr.birth r.hdr);
-  if Limbo_local.retires th.pending mod Limbo_local.epoch_freq th.pending = 0
-  then Atomic.incr t.era;
+  if Limbo_local.retires th.pending mod t.config.epoch_freq = 0 then
+    Atomic.incr t.era;
   if Limbo_local.length th.pending >= Limbo_local.threshold th.pending then
     dispatch th
 

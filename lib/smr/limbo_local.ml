@@ -48,7 +48,6 @@ let create ~config ~start ~in_limbo ~tid =
 let length t = Memory.Limbo.length t.buf
 let retires t = t.retires
 let threshold t = Tuner.threshold t.tuner
-let epoch_freq t = Tuner.epoch_freq t.tuner
 let tuner t = t.tuner
 
 (* Retire fast path: an array store plus two counter bumps — no list

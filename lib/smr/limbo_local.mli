@@ -25,12 +25,6 @@ val retires : t -> int
     [start] forever when [adaptive = `Off]).  One atomic load. *)
 val threshold : t -> int
 
-(** Effective era-advance period: the tuner's current [epoch_freq]
-    (equals [config.epoch_freq] forever when [adaptive = `Off]).  The
-    era schemes divide their retire counter by this instead of the
-    static config field.  One atomic load. *)
-val epoch_freq : t -> int
-
 (** The handle's controller, for stats aggregation. *)
 val tuner : t -> Tuner.t
 

@@ -8,7 +8,7 @@
    batch dispatch).  With no handler installed the call is one ref load and
    a never-taken branch — nothing is allocated and no closure is invoked,
    which is what keeps the operation fast paths at 0.00 minor words/op
-   (asserted by bench/micro op-allocs and test_smr's zero-alloc suites).
+   (asserted by test_smr's op-allocs suites).
 
    The handler itself runs on the domain that crossed the point, so it may
    park that domain (a stall) or raise (a simulated crash that skips

@@ -56,7 +56,8 @@ type config = {
          starting point; the per-handle Tuner moves the effective value. *)
   epoch_freq : int;
       (* global epoch/era increment every this many retires (12 x threads in
-         the paper's calibration). *)
+         the paper's calibration).  Constant even with [adaptive = `On]:
+         the bounds computed from it must describe the running code. *)
   batch_size : int; (* Hyaline-1S dispatch batch size. *)
   adaptive : adaptive;
       (* `Off: thresholds are static, exactly the pre-tuner behaviour.
@@ -391,11 +392,11 @@ module type S = sig
 
   (** [set_pressure t on] is the overload hook for a service tier above:
       while set, every registered handle's {!Tuner} reports its most
-      aggressive clamp (minimum threshold, shortest era period), so
-      sweeps run as often as the configuration allows.  Callable from any
-      domain; a no-op for static configs and for schemes with nothing to
-      tune (NR).  Releasing the pressure resumes the controllers where
-      they left off. *)
+      aggressive clamp (the minimum threshold), so sweeps run as often
+      as the configuration allows.  Callable from any domain; a no-op
+      for static configs and for schemes with nothing to tune (NR).
+      Releasing the pressure resumes the controllers where they left
+      off. *)
   val set_pressure : t -> bool -> unit
 
   (** {2 Handle lifecycle / crash recovery}

@@ -2,7 +2,8 @@
 
    Every limbo sweep reports its outcome; the controller moves the
    effective threshold multiplicatively between the configured [min, max]
-   bounds:
+   bounds (the era period is not tuned: it stays [config.epoch_freq],
+   the value the memory bounds are computed from):
 
    - low hit-rate (the sweep freed less than a quarter of what it
      scanned) means the backlog is pinned by someone's reservation and
@@ -34,9 +35,6 @@ type t = {
   threshold : int Atomic.t; (* current effective threshold *)
   lo : int; (* clamp bounds; lo = hi = start when not adaptive *)
   hi : int;
-  epoch_freq : int Atomic.t; (* current effective era-advance period *)
-  ef_lo : int; (* clamp bounds; ef_lo = ef_hi = config value when static *)
-  ef_hi : int;
   adaptive : bool;
   pressed : bool Atomic.t; (* overload clamp: set by a service tier above *)
   presses : int Atomic.t; (* transitions into the pressed state *)
@@ -45,36 +43,22 @@ type t = {
   mutable low_hit : int; (* sweeps that freed < 1/4 of what they scanned *)
   mutable widens : int;
   mutable tightens : int;
-  mutable ef_widens : int;
-  mutable ef_tightens : int;
   mutable scanned : int; (* lifetime nodes examined by sweeps *)
   mutable reclaimed : int; (* lifetime nodes freed by sweeps *)
 }
 
 let clamp ~lo ~hi v = min hi (max lo v)
 
-(* [epoch_freq] has no configured bounds of its own: it moves within one
-   [x8] band around the configured value.  The band is asymmetric on
-   purpose at the extremes — [max 1] below (a zero period divides by
-   zero) and saturation above ([config_huge]-style calibrations use
-   [max_int], which [x8] would wrap). *)
-let ef_band ef = (max 1 (ef / 8), if ef > max_int / 8 then max_int else ef * 8)
-
 let create ~(config : Smr_intf.config) ~start =
-  let ef = config.Smr_intf.epoch_freq in
-  let lo, hi, (ef_lo, ef_hi), adaptive =
+  let lo, hi, adaptive =
     match config.Smr_intf.adaptive with
-    | `Off -> (start, start, (ef, ef), false)
-    | `On b ->
-        (b.Smr_intf.min_threshold, b.Smr_intf.max_threshold, ef_band ef, true)
+    | `Off -> (start, start, false)
+    | `On b -> (b.Smr_intf.min_threshold, b.Smr_intf.max_threshold, true)
   in
   {
     threshold = Atomic.make (clamp ~lo ~hi start);
     lo;
     hi;
-    epoch_freq = Atomic.make ef;
-    ef_lo;
-    ef_hi;
     adaptive;
     pressed = Atomic.make false;
     presses = Atomic.make 0;
@@ -83,29 +67,20 @@ let create ~(config : Smr_intf.config) ~start =
     low_hit = 0;
     widens = 0;
     tightens = 0;
-    ef_widens = 0;
-    ef_tightens = 0;
     scanned = 0;
     reclaimed = 0;
   }
 
-(* While pressed, the effective knobs sit at their most aggressive
-   clamp: the minimum threshold (sweep on every short buffer fill) and
-   the shortest era period (age retirees out of the protection window as
-   fast as the config allows).  The stored controller state is left
-   untouched, so releasing the pressure resumes the feedback loop where
-   it was.  For static configs [lo = hi] and [ef_lo = ef_hi], so
+(* While pressed, the effective threshold sits at its most aggressive
+   clamp: the minimum (sweep on every short buffer fill).  The stored
+   controller state is left untouched, so releasing the pressure resumes
+   the feedback loop where it was.  For static configs [lo = hi], so
    pressure is a no-op there by construction. *)
 let threshold t = if Atomic.get t.pressed then t.lo else Atomic.get t.threshold
-
-let epoch_freq t =
-  if Atomic.get t.pressed then t.ef_lo else Atomic.get t.epoch_freq
 
 let set_pressure t on =
   if on && not (Atomic.get t.pressed) then Atomic.incr t.presses;
   Atomic.set t.pressed on
-
-let pressed t = Atomic.get t.pressed
 
 (* Fan a pressure change out to every registered handle's controller —
    the per-scheme [S.set_pressure] implementation. *)
@@ -128,30 +103,6 @@ let tighten t =
     t.tightens <- t.tightens + 1
   end
 
-(* The era period moves in the opposite sense to the threshold: a low
-   hit-rate means retirees are still too young relative to the published
-   reservations, and a *shorter* period ages them faster (every era
-   advance moves the reclaimability horizon forward); a healthy,
-   non-growing steady state earns the period back ([x2]) so the global
-   era — a cross-domain store amortised over [epoch_freq] retires —
-   stays cheap.  [ef_widen] is saturation-safe: [cur * 2] may overflow
-   when the configured period is already near [max_int]. *)
-let ef_tighten t =
-  let cur = Atomic.get t.epoch_freq in
-  let next = max t.ef_lo (cur / 2) in
-  if next <> cur then begin
-    Atomic.set t.epoch_freq next;
-    t.ef_tightens <- t.ef_tightens + 1
-  end
-
-let ef_widen t =
-  let cur = Atomic.get t.epoch_freq in
-  let next = if cur > t.ef_hi / 2 then t.ef_hi else cur * 2 in
-  if next <> cur then begin
-    Atomic.set t.epoch_freq next;
-    t.ef_widens <- t.ef_widens + 1
-  end
-
 let observe t ~scanned ~reclaimed ~gauge =
   t.sweeps <- t.sweeps + 1;
   t.scanned <- t.scanned + scanned;
@@ -159,12 +110,7 @@ let observe t ~scanned ~reclaimed ~gauge =
   let low = scanned > 0 && reclaimed * 4 < scanned in
   if low then t.low_hit <- t.low_hit + 1;
   if t.adaptive then
-    if low then begin
-      widen t;
-      ef_tighten t
-    end
-    else if gauge > t.last_gauge then tighten t
-    else ef_widen t;
+    if low then widen t else if gauge > t.last_gauge then tighten t;
   t.last_gauge <- gauge
 
 (* Hyaline's dispatch has no hit-rate signal (the whole batch is handed
@@ -177,14 +123,7 @@ let observe t ~scanned ~reclaimed ~gauge =
 let observe_dispatch t ~gauge =
   t.sweeps <- t.sweeps + 1;
   if t.adaptive then
-    if gauge > t.last_gauge then begin
-      tighten t;
-      ef_tighten t
-    end
-    else begin
-      widen t;
-      ef_widen t
-    end;
+    if gauge > t.last_gauge then tighten t else widen t;
   t.last_gauge <- gauge
 
 (* Aggregate controller counters for [S.stats]: one row per scheme
@@ -197,13 +136,10 @@ let stats_of_array (ts : t option array) =
   if not any then []
   else begin
     let thr = ref 0
-    and ef = ref 0
     and sweeps = ref 0
     and low = ref 0
     and widens = ref 0
     and tightens = ref 0
-    and ef_widens = ref 0
-    and ef_tightens = ref 0
     and scanned = ref 0
     and reclaimed = ref 0
     and presses = ref 0 in
@@ -212,28 +148,22 @@ let stats_of_array (ts : t option array) =
         | None -> ()
         | Some t ->
             thr := max !thr (threshold t);
-            ef := max !ef (epoch_freq t);
             sweeps := !sweeps + t.sweeps;
             low := !low + t.low_hit;
             widens := !widens + t.widens;
             tightens := !tightens + t.tightens;
-            ef_widens := !ef_widens + t.ef_widens;
-            ef_tightens := !ef_tightens + t.ef_tightens;
             scanned := !scanned + t.scanned;
             reclaimed := !reclaimed + t.reclaimed;
             presses := !presses + Atomic.get t.presses)
       ts;
     [
       ("tuned_threshold", !thr);
-      ("tuned_epoch_freq", !ef);
       ("sweep_passes", !sweeps);
       ("sweep_low_hit", !low);
       ("sweep_scanned", !scanned);
       ("sweep_reclaimed", !reclaimed);
       ("tuner_widens", !widens);
       ("tuner_tightens", !tightens);
-      ("tuner_ef_widens", !ef_widens);
-      ("tuner_ef_tightens", !ef_tightens);
       ("tuner_presses", !presses);
     ]
   end

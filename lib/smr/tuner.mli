@@ -6,6 +6,9 @@
     unreclaimed-gauge growth tightens it (/2, clamped).  With
     [adaptive = `Off] the threshold never moves (static behaviour is
     preserved exactly) but sweep-efficiency counters are still kept.
+    The threshold is the only knob: the era schemes advance their era
+    every [config.epoch_freq] retires, the constant {!Smr_intf.make_config}
+    and the harness's memory bounds are computed from.
 
     Single-owner like the limbo buffer it guards; only {!threshold} is
     safe to read from other domains (it is atomic). *)
@@ -20,15 +23,6 @@ val create : config:Smr_intf.config -> start:int -> t
 (** Current effective threshold (one atomic load — retire-path cheap). *)
 val threshold : t -> int
 
-(** Current effective era-advance period, moved within a [x8] band around
-    [config.epoch_freq] by the same sweep feedback: a low hit-rate
-    tightens it (/2 — advance the era more often so retirees age out of
-    the protection window sooner), a healthy non-growing steady state
-    widens it back (x2 — fewer cross-domain era stores).  Equal to
-    [config.epoch_freq] forever when [adaptive = `Off].  One atomic
-    load. *)
-val epoch_freq : t -> int
-
 (** [observe t ~scanned ~reclaimed ~gauge] reports one sweep: how many
     limbo nodes it examined, how many it freed, and the shared
     unreclaimed gauge after the sweep.  Applies the control law and
@@ -40,16 +34,12 @@ val observe : t -> scanned:int -> reclaimed:int -> gauge:int -> unit
 val observe_dispatch : t -> gauge:int -> unit
 
 (** [set_pressure t on] is the overload hook for a service tier above the
-    scheme: while set, {!threshold} reports the minimum bound and
-    {!epoch_freq} the shortest period — sweeps run as often as the
-    configuration allows — without disturbing the stored controller
-    state, which resumes where it left off when the pressure is
-    released.  A no-op for static ([`Off]) configs, whose bounds are
+    scheme: while set, {!threshold} reports the minimum bound — sweeps
+    run as often as the configuration allows — without disturbing the
+    stored controller state, which resumes where it left off when the
+    pressure is released.  A no-op for static ([`Off]) configs, whose bounds are
     degenerate.  Safe to call from any domain. *)
 val set_pressure : t -> bool -> unit
-
-(** Whether the overload clamp is currently set. *)
-val pressed : t -> bool
 
 (** Apply {!set_pressure} to every registered controller of a scheme's
     per-tid array (the shared [S.set_pressure] implementation). *)

@@ -24,16 +24,12 @@ type cfg = {
   pv_clean_s : float;
   pv_ramp_s : float;
   pv_drain_s : float;
-  pv_batch_capacity : int;
-  pv_buckets : int;
   pv_config : Smr.Smr_intf.config option;
   pv_budget : int option;  (* absolute per-shard budget *)
   pv_deadline_s : float;
-  pv_retry : Backoff.policy;
   pv_ttl_pct : int;  (* % of puts carrying a TTL *)
   pv_ttl_s : float;
   pv_seed : int;
-  pv_sample_every : float;
 }
 
 let default_cfg () =
@@ -48,16 +44,12 @@ let default_cfg () =
     pv_clean_s = 0.4;
     pv_ramp_s = 0.8;
     pv_drain_s = 0.6;
-    pv_batch_capacity = 32;
-    pv_buckets = 256;
     pv_config = None;
     pv_budget = None;
     pv_deadline_s = 0.05;
-    pv_retry = Backoff.default_policy;
     pv_ttl_pct = 25;
     pv_ttl_s = 0.05;
     pv_seed = 0xC0FFEE;
-    pv_sample_every = 0.01;
   }
 
 type result = {
@@ -92,6 +84,9 @@ type result = {
   r_verdict : string;
 }
 
+(* Per-shard group size at which the writers' deferred requests flush. *)
+let batch_capacity = 32
+
 let run cfg =
   if cfg.pv_readers < 1 then
     invalid_arg "Overload.run: need at least one reader";
@@ -111,8 +106,8 @@ let run cfg =
      coordinator must never touch them). *)
   let sweeper = cfg.pv_workers in
   let store =
-    Store.create ?config:cfg.pv_config ~buckets:cfg.pv_buckets
-      ~batch_capacity:cfg.pv_batch_capacity ~backend:cfg.pv_backend
+    Store.create ?config:cfg.pv_config ~buckets:256 ~batch_capacity
+      ~backend:cfg.pv_backend
       ~scheme:cfg.pv_scheme ~shards:cfg.pv_shards
       ~threads:(cfg.pv_workers + 1) ()
   in
@@ -225,7 +220,7 @@ let run cfg =
           | (`Overload | `Deadline_exceeded) as refused -> refused
         in
         match
-          Backoff.run cfg.pv_retry ~rng ~now:Clock.now ~sleep:Unix.sleepf
+          Backoff.run Backoff.default_policy ~rng ~now:Clock.now ~sleep:Unix.sleepf
             ~deadline:dl
             ~on_retry:(fun ~attempt:_ -> Stats.record_retry stats ~tid)
             attempt
@@ -299,7 +294,7 @@ let run cfg =
   (* If the drain transition never ran (degenerate phase durations vs
      the sample period), the target shutdown wakes the parked extras. *)
   let o =
-    Soak.run ~sample_every:cfg.pv_sample_every ~on_sample target
+    Soak.run ~on_sample target
       ~workers:cfg.pv_workers
       ~duration:(cfg.pv_clean_s +. cfg.pv_ramp_s +. cfg.pv_drain_s)
       body
@@ -454,7 +449,7 @@ let result_json cfg (r : result) =
       ("parked", Int r.r_parked);
       ("readers", Int cfg.pv_readers);
       ("range", Int cfg.pv_range);
-      ("batch_capacity", Int cfg.pv_batch_capacity);
+      ("batch_capacity", Int batch_capacity);
       ("clean_s", Float cfg.pv_clean_s);
       ("ramp_s", Float cfg.pv_ramp_s);
       ("drain_s", Float cfg.pv_drain_s);

@@ -34,8 +34,6 @@ type cfg = {
   pv_clean_s : float;
   pv_ramp_s : float;
   pv_drain_s : float;  (** all three must be positive *)
-  pv_batch_capacity : int;
-  pv_buckets : int;
   pv_config : Smr.Smr_intf.config option;
   pv_budget : int option;
       (** absolute per-shard pressure budget; default: one thread's
@@ -44,11 +42,9 @@ type cfg = {
           independent of the scheme under test, so every panel member is
           held to the same operator envelope *)
   pv_deadline_s : float;  (** per-request write deadline *)
-  pv_retry : Backoff.policy;
   pv_ttl_pct : int;  (** % of puts carrying a TTL *)
   pv_ttl_s : float;
   pv_seed : int;
-  pv_sample_every : float;
 }
 
 val default_cfg : unit -> cfg

@@ -33,7 +33,6 @@ type cfg = {
   sv_duration : float;
   sv_batch_capacity : int;
   sv_buckets : int;
-  sv_config : Smr.Smr_intf.config option;
   sv_mix : Workload.mix;
   sv_skew : Workload.skew;
   sv_phases : Workload.phase list;
@@ -41,9 +40,6 @@ type cfg = {
   sv_ttl_pct : int;  (* % of puts carrying a TTL *)
   sv_ttl_s : float;
   sv_crash : int;  (* top worker tids armed to crash mid-run *)
-  sv_domains : int option;  (* runnable cores; < threads oversubscribes *)
-  sv_supervise : Supervisor.config;
-  sv_sample_every : float;
 }
 
 let default_cfg () =
@@ -56,7 +52,6 @@ let default_cfg () =
     sv_duration = 1.0;
     sv_batch_capacity = 64;
     sv_buckets = 256;
-    sv_config = None;
     sv_mix = Workload.read_write_50;
     sv_skew = Workload.Zipf 0.99;
     sv_phases = [];
@@ -64,9 +59,6 @@ let default_cfg () =
     sv_ttl_pct = 0;
     sv_ttl_s = 0.05;
     sv_crash = 0;
-    sv_domains = None;
-    sv_supervise = Supervisor.default;
-    sv_sample_every = 0.01;
   }
 
 type shard_row = {
@@ -88,8 +80,6 @@ type result = {
   r_max_unreclaimed : int;
   r_op_stats : Metrics.op_stats list;
   r_crashes : int;  (* armed crash rules *)
-  r_domains : int;  (* runnable cores (= threads unless oversubscribed) *)
-  r_rotations : int;  (* oversubscription swaps completed *)
   r_recoveries : Metrics.recovery_event list;
   r_post_quiesced : int;  (* gauge after recovery + full quiesce *)
   r_bound : int option;  (* summed robust ceiling, None if not robust *)
@@ -119,16 +109,8 @@ let run cfg mode =
     invalid_arg "Serve.run: crash count must be in [0, threads)";
   if cfg.sv_ttl_pct < 0 || cfg.sv_ttl_pct > 100 then
     invalid_arg "Serve.run: ttl_pct must be in [0, 100]";
-  let runnable = Option.value cfg.sv_domains ~default:cfg.sv_threads in
-  if runnable < 1 || runnable > cfg.sv_threads then
-    invalid_arg "Serve.run: domains must be in [1, threads]";
-  if runnable < cfg.sv_threads && cfg.sv_crash > 0 then
-    (* The crash victims are the top tids; the oversubscription rotation
-       would keep re-arming stall rules on the same cells.  Orthogonal
-       adversaries, separate runs. *)
-    invalid_arg "Serve.run: oversubscription and crash arming are exclusive";
   let store =
-    Store.create ?config:cfg.sv_config ~buckets:cfg.sv_buckets
+    Store.create ~buckets:cfg.sv_buckets
       ~batch_capacity:cfg.sv_batch_capacity ~backend:cfg.sv_backend
       ~scheme:cfg.sv_scheme ~shards:cfg.sv_shards ~threads:cfg.sv_threads ()
   in
@@ -211,9 +193,8 @@ let run cfg mode =
           Store.flush client
   in
   let o =
-    Soak.run ~sample_every:cfg.sv_sample_every ~schedule:sched
-      ~supervise:cfg.sv_supervise ~runnable target ~workers:cfg.sv_threads
-      ~duration:cfg.sv_duration body
+    Soak.run ~schedule:sched ~supervise:Supervisor.default target
+      ~workers:cfg.sv_threads ~duration:cfg.sv_duration body
   in
   let elapsed = o.elapsed in
   let stats = Store.stats store in
@@ -278,8 +259,6 @@ let run cfg mode =
     r_max_unreclaimed = o.max_unreclaimed;
     r_op_stats = Metrics.merge recorders;
     r_crashes = cfg.sv_crash;
-    r_domains = runnable;
-    r_rotations = o.rotations;
     r_recoveries = recoveries;
     r_post_quiesced = post_quiesced;
     r_bound = bound;
@@ -329,8 +308,6 @@ let result_json ?speedup cfg (r : result) =
        ("post_quiesced", Int r.r_post_quiesced);
        ("bound", match r.r_bound with Some b -> Int b | None -> Null);
        ("crashes", Int r.r_crashes);
-       ("domains", Int r.r_domains);
-       ("rotations", Int r.r_rotations);
        ( "recoveries",
          List (List.map Metrics.recovery_event_json r.r_recoveries) );
        ("final_size", Int r.r_final_size);

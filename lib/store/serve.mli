@@ -22,7 +22,6 @@ type cfg = {
   sv_duration : float;
   sv_batch_capacity : int;
   sv_buckets : int;
-  sv_config : Smr.Smr_intf.config option;
   sv_mix : Harness.Workload.mix;
   sv_skew : Harness.Workload.skew;
   sv_phases : Harness.Workload.phase list;
@@ -32,17 +31,6 @@ type cfg = {
   sv_crash : int;
       (** top worker tids armed to crash at a protected-load probe
           mid-run; the supervisor recovers and respawns them *)
-  sv_domains : int option;
-      (** runnable cores (default: [sv_threads]).  A smaller value
-          oversubscribes: every worker still gets an OS domain and a
-          store client, but only [sv_domains] run at once — the excess
-          are parked mid-request by {!Harness.Oversub} and rotated back
-          in at the sample cadence.  Parked workers do not heartbeat:
-          keep [heartbeat_timeout] well above (parked count x
-          [sv_sample_every]).  Mutually exclusive with [sv_crash] > 0
-          (the two adversaries would fight over the same chaos cells). *)
-  sv_supervise : Harness.Supervisor.config;
-  sv_sample_every : float;
 }
 
 val default_cfg : unit -> cfg
@@ -71,8 +59,6 @@ type result = {
   r_max_unreclaimed : int;
   r_op_stats : Harness.Metrics.op_stats list;
   r_crashes : int;
-  r_domains : int;  (** runnable cores (= threads unless oversubscribed) *)
-  r_rotations : int;  (** oversubscription swaps completed *)
   r_recoveries : Harness.Metrics.recovery_event list;
   r_post_quiesced : int;
   r_bound : int option;  (** summed robust ceiling; [None] if not robust *)
