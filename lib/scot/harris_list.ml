@@ -32,9 +32,13 @@
 
    The operation fast paths are allocation-free: protected loads go through
    the scheme's staged reader (built once per handle), link values are the
-   nodes' canonical prebuilt records, retire hands over the node's prebuilt
-   [rc], and the traversal state that an attempt returns lives in
-   handle-owned scratch fields instead of a consed [pos] record.
+   nodes' canonical prebuilt records, and retire hands over the node's
+   prebuilt [rc].  The traversal cursor (last safe link cell, its expected
+   record, current node and its next field) is threaded through the hop
+   functions' arguments, so a hop stores nothing: a store into the
+   long-lived handle would be a write-barrier call per hop.  Only a find's
+   result is written to handle fields (rather than consed), once, when the
+   find returns.
 
    Every protected load goes through the branded bracket ([S.with_op*] +
    [S.protect] + [Guard.deref]): the operation bodies are top-level [opN]
@@ -67,10 +71,10 @@ module Make (S : Smr.Smr_intf.S) = struct
     s : S.th;
     tid : int;
     rdr : N.link S.reader;
-    (* Scratch for the current traversal attempt — the old [pos] record,
-       hoisted: [prev] is the last safe link cell, [expected] the physical
-       record currently installed there, [pos_curr] the first node with
-       key >= target, [pos_next] its successor link. *)
+    (* The last find's result, written once when the find returns:
+       [prev] is the last safe link cell, [expected] the physical record
+       read there, [pos_curr] the first unmarked node with key >= target,
+       [pos_next] its successor link. *)
     mutable prev : N.link Atomic.t;
     mutable expected : N.link;
     mutable pos_curr : N.t;
@@ -126,11 +130,22 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let no_step () = ()
 
-  (* Do_Find.  Results land in [h.prev]/[h.expected]/[h.pos_curr]/
-     [h.pos_next]; the body is a top-level recursion over explicit
+  (* The find's result, stored once for the callers' CASes. *)
+  let found h prev expected curr next =
+    h.prev <- prev;
+    h.expected <- expected;
+    h.pos_curr <- curr;
+    h.pos_next <- next
+
+  (* Do_Find.  The traversal cursor travels as arguments: [prev] is the
+     last safe link cell, [expected] the physical record read from it,
+     [curr] the current node and [cf] its next field (resolved once, so
+     each node's poison check runs once per visit).  The handle is
+     written only when the find returns ([found]), where the callers'
+     CASes read it.  The body is a top-level recursion over explicit
      arguments (including the bracket token and the three rotating slot
-     indices [~sn ~sc ~sp], unboxed ints) so a steady-state attempt
-     allocates nothing. *)
+     indices [~sn ~sc ~sp], unboxed ints), so a steady-state attempt
+     allocates nothing and a hop stores nothing. *)
   let rec do_find h tok key ~srch ~on_step =
     try find_attempt h tok key ~srch ~on_step
     with Restart ->
@@ -138,28 +153,30 @@ module Make (S : Smr.Smr_intf.S) = struct
       do_find h tok key ~srch ~on_step
 
   and find_attempt h tok key ~srch ~on_step =
-    let first = protect_link h tok ~slot:1 h.t.head in
-    h.prev <- h.t.head;
-    h.expected <- first;
-    let first = node_of first in
-    step h tok key ~srch ~on_step ~sn:0 ~sc:1 ~sp:2 first
-      (protect_link h tok ~slot:0 (N.next_field first))
+    let prev = h.t.head in
+    let first = protect_link h tok ~slot:1 prev in
+    let curr = node_of first in
+    let cf = N.next_field curr in
+    step h tok key ~srch ~on_step ~sn:0 ~sc:1 ~sp:2 prev first curr cf
+      (protect_link h tok ~slot:0 cf)
 
   (* Dangerous-zone validation: the last safe node must still hold the
-     exact link record we read from it.  On failure, §3.2.1 recovery
-     re-reads the link into the curr slot [sc]: if the last safe node is
-     itself now deleted we must restart from the head; otherwise
-     traversal continues at the link's new target. *)
-  and validate h tok ~sc =
+     exact link record we read from it.  Returns [expected] when it does.
+     Otherwise §3.2.1 recovery re-reads the link into the curr slot [sc]
+     and returns the new record: if the last safe node is itself now
+     deleted we must restart from the head; otherwise traversal continues
+     at the link's new target, with the new record as [expected].  (A
+     re-read equal to [expected] means the link holds it again, which is
+     exactly what validation asks.) *)
+  and validate h tok ~sc prev expected =
     (* raw-load: validation witness — the physical record is only compared,
        never dereferenced. *)
-    if Atomic.get h.prev == h.expected then None
+    if Atomic.get prev == expected then expected
     else if not h.t.recovery then raise Restart
     else begin
-      let l = protect_link h tok ~slot:sc h.prev in
+      let l = protect_link h tok ~slot:sc prev in
       if l.N.marked then raise Restart;
-      h.expected <- l;
-      Some (node_of l)
+      l
     end
 
   (* Phase 1 ([step] on an unmarked [next]): the safe zone.  Same hazard
@@ -172,49 +189,53 @@ module Make (S : Smr.Smr_intf.S) = struct
      validated.  We validate the last safe link *before* dereferencing
      the protected target (Theorem 2's ordering), then advance by swapping
      [sn] and [sc]; [sp] keeps the last safe node throughout. *)
-  and step h tok key ~srch ~on_step ~sn ~sc ~sp (curr : N.t) (next : N.link) =
+  and step h tok key ~srch ~on_step ~sn ~sc ~sp prev expected (curr : N.t) cf
+      (next : N.link) =
     on_step ();
     if next.N.marked then begin
       (* [curr] is logically deleted: protect the first unsafe node and
          enter the dangerous zone. *)
       S.dup h.s ~src:sc ~dst:hp_unsafe;
-      phase2 h tok key ~srch ~on_step ~sn ~sc ~sp ~zstart:curr next
+      phase2 h tok key ~srch ~on_step ~sn ~sc ~sp prev expected ~zstart:curr
+        next
     end
-    else if N.key curr >= key then begin
-      h.pos_curr <- curr;
-      h.pos_next <- next
-    end
-    else begin
-      h.prev <- N.next_field curr;
-      h.expected <- next;
+    else if N.key curr >= key then found h prev expected curr next
+    else
       let curr' = node_of next in
-      step h tok key ~srch ~on_step ~sn:sp ~sc:sn ~sp:sc curr'
-        (protect_link h tok ~slot:sp (N.next_field curr'))
-    end
+      let cf' = N.next_field curr' in
+      step h tok key ~srch ~on_step ~sn:sp ~sc:sn ~sp:sc cf next curr' cf'
+        (protect_link h tok ~slot:sp cf')
 
-  and phase2 h tok key ~srch ~on_step ~sn ~sc ~sp ~zstart (next : N.link) =
+  and phase2 h tok key ~srch ~on_step ~sn ~sc ~sp prev expected ~zstart
+      (next : N.link) =
     on_step ();
-    match validate h tok ~sc with
-    | Some recovered ->
-        step h tok key ~srch ~on_step ~sn ~sc ~sp recovered
-          (protect_link h tok ~slot:sn (N.next_field recovered))
-    | None ->
-        let curr' = node_of next in
-        let next' = protect_link h tok ~slot:sc (N.next_field curr') in
-        if next'.N.marked then
-          phase2 h tok key ~srch ~on_step ~sn:sc ~sc:sn ~sp ~zstart next'
-        else if srch then
-          (* Search skips the chain without unlinking (read-only). *)
-          step h tok key ~srch ~on_step ~sn:sc ~sc:sn ~sp curr' next'
-        else begin
-          (* Unlink the whole chain [zstart, curr') with one CAS. *)
-          let desired = curr'.N.in_link in
-          if not (Atomic.compare_and_set h.prev h.expected desired) then
-            raise Restart;
-          retire_chain h zstart ~until:curr';
-          h.expected <- desired;
-          step h tok key ~srch ~on_step ~sn:sc ~sc:sn ~sp curr' next'
-        end
+    let l = validate h tok ~sc prev expected in
+    if l != expected then begin
+      let recovered = node_of l in
+      let cf = N.next_field recovered in
+      step h tok key ~srch ~on_step ~sn ~sc ~sp prev l recovered cf
+        (protect_link h tok ~slot:sn cf)
+    end
+    else
+      let curr' = node_of next in
+      let cf' = N.next_field curr' in
+      let next' = protect_link h tok ~slot:sc cf' in
+      if next'.N.marked then
+        phase2 h tok key ~srch ~on_step ~sn:sc ~sc:sn ~sp prev expected
+          ~zstart next'
+      else if srch then
+        (* Search skips the chain without unlinking (read-only). *)
+        step h tok key ~srch ~on_step ~sn:sc ~sc:sn ~sp prev expected curr'
+          cf' next'
+      else begin
+        (* Unlink the whole chain [zstart, curr') with one CAS. *)
+        let desired = curr'.N.in_link in
+        if not (Atomic.compare_and_set prev expected desired) then
+          raise Restart;
+        retire_chain h zstart ~until:curr';
+        step h tok key ~srch ~on_step ~sn:sc ~sc:sn ~sp prev desired curr' cf'
+          next'
+      end
 
   let check_key key =
     if key >= max_int then invalid_arg "Harris_list: key must be < max_int"
@@ -365,26 +386,27 @@ module Make (S : Smr.Smr_intf.S) = struct
         scan h tok ~lo ~hi acc
 
   and scan_attempt h tok ~lo ~hi acc =
-    let first_g = S.protect h.rdr tok ~slot:1 h.t.head in
+    let prev = h.t.head in
+    let first_g = S.protect h.rdr tok ~slot:1 prev in
     let first = G.deref first_g tok in
-    h.prev <- h.t.head;
-    h.expected <- first;
-    scan_step h tok ~lo ~hi acc ~sn:0 ~sc:1 ~sp:2 (node_of first)
+    scan_step h tok ~lo ~hi acc ~sn:0 ~sc:1 ~sp:2 prev first (node_of first)
 
-  and scan_step h tok ~lo ~hi acc ~sn ~sc ~sp (curr : N.t) =
-    let next_g = S.protect h.rdr tok ~slot:sn (N.next_field curr) in
-    scan_emit h tok ~lo ~hi acc ~sn ~sc ~sp curr next_g
+  and scan_step h tok ~lo ~hi acc ~sn ~sc ~sp prev expected (curr : N.t) =
+    let cf = N.next_field curr in
+    let next_g = S.protect h.rdr tok ~slot:sn cf in
+    scan_emit h tok ~lo ~hi acc ~sn ~sc ~sp prev expected curr cf next_g
 
   (* [next_g] is the guard for [curr]'s successor link, still branded: it
      is only dereferenced here, under the same token that issued it.  The
-     slots rotate exactly as in [step]/[phase2]. *)
-  and scan_emit h tok ~lo ~hi acc ~sn ~sc ~sp curr next_g =
+     slots and the cursor ([prev]/[expected]) move exactly as in
+     [step]/[phase2]. *)
+  and scan_emit h tok ~lo ~hi acc ~sn ~sc ~sp prev expected curr cf next_g =
     let next = G.deref next_g tok in
     if next.N.marked then begin
       (* [curr] is logically deleted — enter the dangerous zone exactly
          like [step], but read-only. *)
       S.dup h.s ~src:sc ~dst:hp_unsafe;
-      scan_zone h tok ~lo ~hi acc ~sn ~sc ~sp next
+      scan_zone h tok ~lo ~hi acc ~sn ~sc ~sp prev expected next
     end
     else
       let k = N.key curr in
@@ -395,22 +417,22 @@ module Make (S : Smr.Smr_intf.S) = struct
           then k :: acc
           else acc
         in
-        begin
-          h.prev <- N.next_field curr;
-          h.expected <- next;
-          scan_step h tok ~lo ~hi acc ~sn:sp ~sc:sn ~sp:sc (node_of next)
-        end
+        scan_step h tok ~lo ~hi acc ~sn:sp ~sc:sn ~sp:sc cf next (node_of next)
 
-  and scan_zone h tok ~lo ~hi acc ~sn ~sc ~sp (next : N.link) =
-    match validate h tok ~sc with
-    | Some recovered -> scan_step h tok ~lo ~hi acc ~sn ~sc ~sp recovered
-    | None ->
-        let curr' = node_of next in
-        let next_g' = S.protect h.rdr tok ~slot:sc (N.next_field curr') in
-        let next' = G.deref next_g' tok in
-        if next'.N.marked then
-          scan_zone h tok ~lo ~hi acc ~sn:sc ~sc:sn ~sp next'
-        else scan_emit h tok ~lo ~hi acc ~sn:sc ~sc:sn ~sp curr' next_g'
+  and scan_zone h tok ~lo ~hi acc ~sn ~sc ~sp prev expected (next : N.link) =
+    let l = validate h tok ~sc prev expected in
+    if l != expected then
+      scan_step h tok ~lo ~hi acc ~sn ~sc ~sp prev l (node_of l)
+    else
+      let curr' = node_of next in
+      let cf' = N.next_field curr' in
+      let next_g' = S.protect h.rdr tok ~slot:sc cf' in
+      let next' = G.deref next_g' tok in
+      if next'.N.marked then
+        scan_zone h tok ~lo ~hi acc ~sn:sc ~sc:sn ~sp prev expected next'
+      else
+        scan_emit h tok ~lo ~hi acc ~sn:sc ~sc:sn ~sp prev expected curr' cf'
+          next_g'
 
   let range_body =
     { Smr.Smr_intf.op3 = (fun tok h lo hi -> scan h tok ~lo ~hi []) }

@@ -12,11 +12,12 @@
    in [Harris_list] — a hop renames the slots instead of copying
    protections between them, so it publishes exactly once.
 
-   Like [Harris_list], the operation fast paths are allocation-free: staged
-   protected loads, canonical link records, prebuilt retire records, and
-   handle-owned traversal scratch.  Protected loads go through the branded
-   bracket ([S.with_op*] + [S.protect]); see [Harris_list] for the
-   discipline. *)
+   Like [Harris_list], the operation fast paths are allocation-free and
+   store nothing per hop: staged protected loads, canonical link records,
+   prebuilt retire records, a traversal cursor threaded through arguments
+   and a find's result written once into the handle.  Protected loads go
+   through the branded bracket ([S.with_op*] + [S.protect]); see
+   [Harris_list] for the discipline. *)
 
 module N = List_node
 module G = Smr.Smr_intf.Guard
@@ -80,6 +81,16 @@ module Make (S : Smr.Smr_intf.S) = struct
   let protect_link h tok ~slot field =
     G.deref (S.protect h.rdr tok ~slot field) tok
 
+  (* The find's result, stored once for the callers' CASes. *)
+  let found h prev expected curr next =
+    h.prev <- prev;
+    h.expected <- expected;
+    h.pos_curr <- curr;
+    h.pos_next <- next
+
+  (* The traversal cursor travels as arguments, as in [Harris_list]:
+     [prev] is the last safe link cell and [expected] the physical record
+     read from it; the handle is written once, when the find returns. *)
   let rec do_find h tok key =
     try find_attempt h tok key
     with Restart ->
@@ -87,35 +98,27 @@ module Make (S : Smr.Smr_intf.S) = struct
       do_find h tok key
 
   and find_attempt h tok key =
-    let first = protect_link h tok ~slot:1 h.t.head in
-    h.prev <- h.t.head;
-    h.expected <- first;
-    step h tok key ~sn:0 ~sc:1 ~sp:2 (node_of first)
+    let prev = h.t.head in
+    let first = protect_link h tok ~slot:1 prev in
+    step h tok key ~sn:0 ~sc:1 ~sp:2 prev first (node_of first)
 
   (* [~sn ~sc ~sp]: the slots holding next, curr and prev.  A safe hop is
      (sn, sc, sp) -> (sp, sn, sc): the new next goes into the old prev's
      slot.  An eager unlink retires curr, whose slot then takes the new
      next: sn and sc swap and prev stays put. *)
-  and step h tok key ~sn ~sc ~sp (curr : N.t) =
-    let next = protect_link h tok ~slot:sn (N.next_field curr) in
+  and step h tok key ~sn ~sc ~sp prev expected (curr : N.t) =
+    let cf = N.next_field curr in
+    let next = protect_link h tok ~slot:sn cf in
     if next.N.marked then begin
       (* Eager unlink of the single marked node; restart on failure. *)
       let desired = N.unmarked_copy next in
-      if not (Atomic.compare_and_set h.prev h.expected desired) then
+      if not (Atomic.compare_and_set prev expected desired) then
         raise Restart;
       S.retire h.s curr.N.rc;
-      h.expected <- desired;
-      step h tok key ~sn:sc ~sc:sn ~sp (node_of next)
+      step h tok key ~sn:sc ~sc:sn ~sp prev desired (node_of next)
     end
-    else if N.key curr >= key then begin
-      h.pos_curr <- curr;
-      h.pos_next <- next
-    end
-    else begin
-      h.prev <- N.next_field curr;
-      h.expected <- next;
-      step h tok key ~sn:sp ~sc:sn ~sp:sc (node_of next)
-    end
+    else if N.key curr >= key then found h prev expected curr next
+    else step h tok key ~sn:sp ~sc:sn ~sp:sc cf next (node_of next)
 
   let check_key key =
     if key >= max_int then

@@ -22,12 +22,13 @@
    sentinel leaves, exactly as in [24]; real keys are < inf1, so S is never
    the parent of a real leaf and the sentinels are never deleted.
 
-   The seek fast path is allocation-free: protected edge loads go through
-   the scheme's staged reader and the seek record lives in handle-owned
-   scratch fields.  Nodes carry a prebuilt [rc] (pool-bound) so retiring a
-   pruned branch allocates nothing.  Edge records themselves are still
-   consed on the update paths (tag/flag/promote) — they are the CAS
-   descriptors of the algorithm, not traversal state. *)
+   The seek fast path is allocation-free and stores nothing per step:
+   protected edge loads go through the scheme's staged reader, and the
+   seek record travels down as arguments and is written to handle fields
+   once, at the leaf.  Nodes carry a prebuilt [rc] (pool-bound) so
+   retiring a pruned branch allocates nothing.  Edge records themselves
+   are still consed on the update paths (tag/flag/promote) — they are the
+   CAS descriptors of the algorithm, not traversal state. *)
 
 module G = Smr.Smr_intf.Guard
 
@@ -147,7 +148,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     restarts : Memory.Tcounter.t;
   }
 
-  (* Seek record (original terminology, §3.3), hoisted into the handle:
+  (* The last seek's record (original terminology, §3.3):
      [sk_parent]/[sk_leaf] are the last two nodes on the access path;
      [sk_successor] is the target of the last untagged edge, [sk_ancestor]
      its source, [sk_anc_edge] the physical edge record at the ancestor
@@ -243,14 +244,23 @@ module Make (S : Smr.Smr_intf.S) = struct
      have been pruned and reclaimed.
      raw-load: validation witness — compared physically, never
      dereferenced. *)
-  let seek_validate h key =
-    let d = dir_for ~key h.sk_ancestor in
-    if Atomic.get (child_field h.sk_ancestor d) != h.sk_anc_edge then
-      raise Restart
+  let seek_validate key ancestor anc_edge =
+    let d = dir_for ~key ancestor in
+    if Atomic.get (child_field ancestor d) != anc_edge then raise Restart
 
   (* Protected edge load through the branded bracket (see [Harris_list]). *)
   let protect_edge h tok ~slot field =
     G.deref (S.protect h.rdr tok ~slot field) tok
+
+  (* The seek record travels as arguments and lands in [h.sk_*] once, when
+     the seek reaches a leaf. *)
+  let seek_found h ~ancestor ~successor ~anc_edge ~parent ~par_edge leaf =
+    h.sk_ancestor <- ancestor;
+    h.sk_successor <- successor;
+    h.sk_anc_edge <- anc_edge;
+    h.sk_parent <- parent;
+    h.sk_leaf <- leaf;
+    h.sk_par_edge <- par_edge
 
   let rec seek h tok key =
     try seek_attempt h tok key
@@ -260,45 +270,45 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   and seek_attempt h tok key =
     let t = h.t in
-    h.sk_ancestor <- t.root;
-    h.sk_successor <- t.sroot;
     let ae = protect_edge h tok ~slot:hp_successor (child_field t.root L) in
-    h.sk_anc_edge <- ae;
-    h.sk_parent <- t.sroot;
     if ae.tag then raise Restart;
     let pe = protect_edge h tok ~slot:hp_leaf (child_field t.sroot L) in
-    h.sk_par_edge <- pe;
-    h.sk_leaf <- pe.dst;
-    seek_loop h tok key
+    seek_loop h tok key ~ancestor:t.root ~successor:t.sroot ~anc_edge:ae
+      ~parent:t.sroot ~par_edge:pe pe.dst
 
-  and seek_loop h tok key =
-    match h.sk_leaf with
-    | Leaf _ -> ()
+  and seek_loop h tok key ~ancestor ~successor ~anc_edge ~parent ~par_edge
+      leaf =
+    match leaf with
+    | Leaf _ ->
+        seek_found h ~ancestor ~successor ~anc_edge ~parent ~par_edge leaf
     | Internal _ as il ->
         let d = dir_for ~key il in
         let cur_edge = protect_edge h tok ~slot:hp_child (child_field il d) in
-        if not h.sk_par_edge.tag then begin
+        if par_edge.tag then
+          seek_descend h tok key ~ancestor ~successor ~anc_edge ~par_edge il
+            cur_edge
+        else begin
           (* The edge into [il] is untagged: advance ancestor/successor. *)
-          h.sk_ancestor <- h.sk_parent;
           S.dup h.s ~src:hp_parent ~dst:hp_ancestor;
-          h.sk_successor <- il;
           S.dup h.s ~src:hp_leaf ~dst:hp_successor;
-          h.sk_anc_edge <- h.sk_par_edge
-        end;
-        (* Dangerous zone = tagged and flagged edges (Figure 6): a step
-           arriving through a tagged edge, entering one, or crossing a
-           flagged leaf edge — none of these links ever change after the
-           branch is pruned, so only the ancestor->successor validation
-           (run after the protection and before the next dereference,
-           Theorem 2's ordering) proves the target is not reclaimed. *)
-        if h.sk_par_edge.tag || cur_edge.tag || cur_edge.flag then
-          seek_validate h key;
-        h.sk_parent <- il;
-        S.dup h.s ~src:hp_leaf ~dst:hp_parent;
-        h.sk_leaf <- cur_edge.dst;
-        S.dup h.s ~src:hp_child ~dst:hp_leaf;
-        h.sk_par_edge <- cur_edge;
-        seek_loop h tok key
+          seek_descend h tok key ~ancestor:parent ~successor:il
+            ~anc_edge:par_edge ~par_edge il cur_edge
+        end
+
+  (* Dangerous zone = tagged and flagged edges (Figure 6): a step arriving
+     through a tagged edge, entering one, or crossing a flagged leaf edge
+     — none of these links ever change after the branch is pruned, so
+     only the ancestor->successor validation (run after the protection
+     and before the next dereference, Theorem 2's ordering) proves the
+     target is not reclaimed. *)
+  and seek_descend h tok key ~ancestor ~successor ~anc_edge ~par_edge il
+      cur_edge =
+    if par_edge.tag || cur_edge.tag || cur_edge.flag then
+      seek_validate key ancestor anc_edge;
+    S.dup h.s ~src:hp_leaf ~dst:hp_parent;
+    S.dup h.s ~src:hp_child ~dst:hp_leaf;
+    seek_loop h tok key ~ancestor ~successor ~anc_edge ~parent:il
+      ~par_edge:cur_edge cur_edge.dst
 
   (* Freeze an edge by setting its TAG bit (flag preserved); returns the
      frozen record.  Tagged edges never change again.
@@ -342,7 +352,7 @@ module Make (S : Smr.Smr_intf.S) = struct
   (* Operation bodies under the branded bracket.  The update bodies keep
      inner recursive closures (they capture the token and fresh nodes) —
      the tree's update path conses edge records anyway, so the closure is
-     irrelevant; the zero-allocation guarantee covers the list searches. *)
+     irrelevant; the zero-allocation guarantee covers the search. *)
   let search_body =
     {
       Smr.Smr_intf.op2 =

@@ -33,8 +33,9 @@
    As in the list structures, the operation fast paths are allocation-free:
    staged protected loads, canonical per-node link records (including the
    canonical [Some self] reused for predecessor tracking), a prebuilt
-   retire record per node, and per-level traversal results stored in
-   handle-owned arrays instead of a consed array-of-records. *)
+   retire record per node, a per-level cursor threaded through arguments,
+   and per-level traversal results stored once per level in handle-owned
+   arrays instead of a consed array-of-records. *)
 
 module G = Smr.Smr_intf.Guard
 
@@ -152,10 +153,6 @@ module Make (S : Smr.Smr_intf.S) = struct
     level_expected : link array;
     level_pred : node option array;
     level_curr : node option array;
-    (* Scratch of the level currently being traversed. *)
-    mutable lf_prev : link Atomic.t;
-    mutable lf_expected : link;
-    mutable lf_pred : node option;
     (* [apply_batch]'s same-key coalescing memo (see Hashmap): key and
        membership of the latest op of the current dispatch; only a
        contiguous same-key run coalesces. *)
@@ -196,9 +193,6 @@ module Make (S : Smr.Smr_intf.S) = struct
       level_expected = Array.make max_height null_link;
       level_pred = Array.make max_height None;
       level_curr = Array.make max_height None;
-      lf_prev = t.head.(0);
-      lf_expected = null_link;
-      lf_pred = None;
       last_key = 0;
       last_mem = false;
       last_valid = false;
@@ -222,121 +216,115 @@ module Make (S : Smr.Smr_intf.S) = struct
     in
     first_zero 0 + 1
 
-  (* Traverse one level.  The running state lives in [h.lf_*]; the result
-     for level [l] lands in [h.level_*.(l)] ([lf_finish]).  [eager] =
-     Harris-Michael eager unlinking (update traversals, levels >= 1);
-     otherwise marked nodes are skipped under the SCOT validation and,
-     when [cleanup], the adjacent chain is removed with one CAS (never
+  (* Traverse one level.  The cursor travels as arguments — [prev] the
+     last safe link cell, [expected] the physical record read from it,
+     [pred] the node owning [prev] ([None] for the head tower) — and the
+     result for level [l] lands in [h.level_*.(l)] once ([lf_finish]).
+     [eager] = Harris-Michael eager unlinking (update traversals, levels
+     >= 1); otherwise marked nodes are skipped under the SCOT validation
+     and, when [cleanup], the adjacent chain is removed with one CAS (never
      retired here — see header). *)
-  let lf_finish h ~level curr =
-    h.level_prev.(level) <- h.lf_prev;
-    h.level_expected.(level) <- h.lf_expected;
-    h.level_pred.(level) <- h.lf_pred;
+  let lf_finish h ~level prev expected pred curr =
+    h.level_prev.(level) <- prev;
+    h.level_expected.(level) <- expected;
+    h.level_pred.(level) <- pred;
     h.level_curr.(level) <- curr
 
-  let lf_advance h ~level c next =
-    h.lf_prev <- next_field c level;
-    h.lf_pred <- c.in_link.ln;
-    h.lf_expected <- next;
-    S.dup h.s ~src:hp_curr ~dst:(hp_pred level)
+  (* The one-CAS chain unlink on leaving the dangerous zone; returns the
+     link now expected in [prev]. *)
+  let lf_unlink ~cleanup prev expected desired =
+    if not cleanup then expected
+    else if Atomic.compare_and_set prev expected desired then desired
+    else raise Restart
 
   (* Protected load through the branded bracket (see [Harris_list]). *)
   let protect_link h tok ~slot field =
     G.deref (S.protect h.rdr tok ~slot field) tok
 
-  let rec lf_step h tok ~level ~eager ~cleanup key (curr : node option) =
+  let rec lf_step h tok ~level ~eager ~cleanup key prev expected pred
+      (curr : node option) =
     match curr with
-    | None -> lf_finish h ~level None
+    | None -> lf_finish h ~level prev expected pred None
     | Some c ->
-        let next = protect_link h tok ~slot:hp_next (next_field c level) in
+        let cf = next_field c level in
+        let next = protect_link h tok ~slot:hp_next cf in
         if next.marked then
           if eager then begin
             (* Unlink the single marked node from its unmarked pred. *)
             let desired = unmarked_copy next in
-            if not (Atomic.compare_and_set h.lf_prev h.lf_expected desired)
-            then raise Restart;
-            h.lf_expected <- desired;
+            if not (Atomic.compare_and_set prev expected desired) then
+              raise Restart;
             S.dup h.s ~src:hp_next ~dst:hp_curr;
-            lf_step h tok ~level ~eager ~cleanup key next.ln
+            lf_step h tok ~level ~eager ~cleanup key prev desired pred next.ln
           end
           else begin
             (* Enter the dangerous zone: protect the first unsafe node. *)
             S.dup h.s ~src:hp_curr ~dst:hp_unsafe;
-            lf_zone h tok ~level ~eager ~cleanup key next
+            lf_zone h tok ~level ~eager ~cleanup key prev expected pred next
           end
-        else if key_of c >= key then lf_finish h ~level curr
-        else begin
-          lf_advance h ~level c next;
-          S.dup h.s ~src:hp_next ~dst:hp_curr;
-          lf_step h tok ~level ~eager ~cleanup key next.ln
-        end
+        else if key_of c >= key then lf_finish h ~level prev expected pred curr
+        else lf_advance h tok ~level ~eager ~cleanup key c cf next
 
-  and lf_zone h tok ~level ~eager ~cleanup key (next : link) =
+  (* A safe hop: [c] (whose next field is [cf]) becomes the last safe
+     node. *)
+  and lf_advance h tok ~level ~eager ~cleanup key c cf next =
+    S.dup h.s ~src:hp_curr ~dst:(hp_pred level);
+    S.dup h.s ~src:hp_next ~dst:hp_curr;
+    lf_step h tok ~level ~eager ~cleanup key cf next c.in_link.ln next.ln
+
+  and lf_zone h tok ~level ~eager ~cleanup key prev expected pred
+      (next : link) =
     (* [next] points at a protected-but-unvalidated target; validate the
        last safe link before dereferencing it (Theorem 2's ordering).
        raw-load: validation witness — compared physically, never
        dereferenced. *)
-    if Atomic.get h.lf_prev != h.lf_expected then raise Restart;
+    if Atomic.get prev != expected then raise Restart;
     match next.ln with
-    | None -> lf_exit_zone h ~level ~cleanup None
+    | None ->
+        let expected = lf_unlink ~cleanup prev expected null_link in
+        lf_finish h ~level prev expected pred None
     | Some c' ->
         S.dup h.s ~src:hp_next ~dst:hp_curr;
-        let next' = protect_link h tok ~slot:hp_next (next_field c' level) in
-        if next'.marked then lf_zone h tok ~level ~eager ~cleanup key next'
-        else lf_exit_zone_continue h tok ~level ~eager ~cleanup key c' next'
+        let cf' = next_field c' level in
+        let next' = protect_link h tok ~slot:hp_next cf' in
+        if next'.marked then
+          lf_zone h tok ~level ~eager ~cleanup key prev expected pred next'
+        else
+          lf_exit_zone h tok ~level ~eager ~cleanup key prev expected pred c'
+            cf' next'
 
-  and lf_exit_zone h ~level ~cleanup curr =
-    if cleanup then begin
-      let desired = link_of_opt curr in
-      if not (Atomic.compare_and_set h.lf_prev h.lf_expected desired) then
-        raise Restart;
-      h.lf_expected <- desired
-    end;
-    lf_finish h ~level curr
-
-  and lf_exit_zone_continue h tok ~level ~eager ~cleanup key c' next' =
-    if cleanup then begin
-      let desired = c'.in_link in
-      if not (Atomic.compare_and_set h.lf_prev h.lf_expected desired) then
-        raise Restart;
-      h.lf_expected <- desired
-    end;
-    if key_of c' >= key then lf_finish h ~level c'.in_link.ln
-    else begin
-      lf_advance h ~level c' next';
-      S.dup h.s ~src:hp_next ~dst:hp_curr;
-      lf_step h tok ~level ~eager ~cleanup key next'.ln
-    end
+  and lf_exit_zone h tok ~level ~eager ~cleanup key prev expected pred c' cf'
+      next' =
+    let expected = lf_unlink ~cleanup prev expected c'.in_link in
+    if key_of c' >= key then lf_finish h ~level prev expected pred c'.in_link.ln
+    else lf_advance h tok ~level ~eager ~cleanup key c' cf' next'
 
   let level_find h tok ~level ~eager ~cleanup key ~(start : link Atomic.t)
       ~(start_node : node option) =
-    h.lf_prev <- start;
-    h.lf_pred <- start_node;
     let e = protect_link h tok ~slot:hp_curr start in
     if e.marked then raise Restart;
-    h.lf_expected <- e;
-    lf_step h tok ~level ~eager ~cleanup key e.ln
+    lf_step h tok ~level ~eager ~cleanup key start e start_node e.ln
+
+  (* The descent, level by level from the top: a top-level recursion over
+     explicit arguments (an inner [let rec] would cons a closure per
+     find). *)
+  let rec find_down h tok ~eager key l (start_node : node option) =
+    if l >= 0 then begin
+      let start =
+        match start_node with
+        | None -> h.t.head.(l)
+        | Some n -> next_field n l
+      in
+      level_find h tok ~level:l ~eager:(eager && l > 0)
+        ~cleanup:(eager && l = 0) key ~start ~start_node;
+      find_down h tok ~eager key (l - 1) h.level_pred.(l)
+    end
 
   let rec find h tok ~eager key =
-    try find_attempt h tok ~eager key
+    try find_down h tok ~eager key (max_height - 1) None
     with Restart ->
       Memory.Tcounter.incr h.t.restarts ~tid:h.tid;
       find h tok ~eager key
-
-  and find_attempt h tok ~eager key =
-    let rec down l (start_node : node option) =
-      if l >= 0 then begin
-        let start =
-          match start_node with
-          | None -> h.t.head.(l)
-          | Some n -> next_field n l
-        in
-        level_find h tok ~level:l ~eager:(eager && l > 0)
-          ~cleanup:(eager && l = 0) key ~start ~start_node;
-        down (l - 1) h.level_pred.(l)
-      end
-    in
-    down (max_height - 1) None
 
   let check_key key =
     if key >= max_int then invalid_arg "Skiplist: key must be < max_int"
@@ -368,8 +356,8 @@ module Make (S : Smr.Smr_intf.S) = struct
   (* Unlike the lists, the insert/delete bodies keep inner recursive
      closures (they capture the token and the freshly allocated node) —
      the skip list's update path allocates the tower anyway, so the
-     closure cons is irrelevant; only the lists' fast paths carry the
-     zero-allocation guarantee. *)
+     closure cons is irrelevant; the zero-allocation guarantee covers the
+     search. *)
   let insert_body =
     {
       Smr.Smr_intf.op2 =

@@ -113,21 +113,23 @@ let start_op th =
     invalid_arg "Hyaline.start_op: unbalanced start_op/end_op";
   Probe.hit th.id Probe.Start_op
 
+(* [end_op]'s helpers are top-level loops over explicit arguments: inner
+   [let rec]s capturing the head cell and the handle would cons two
+   closures per operation. *)
+let rec detach head =
+  let cur = Atomic.get head in
+  if Atomic.compare_and_set head cur Inactive then cur else detach head
+
+let rec drain th = function
+  | Inactive | Nil -> ()
+  | Cons c ->
+      let next = c.next in
+      release_ref th c.batch;
+      drain th next
+
 let end_op th =
   Atomic.set th.my_era inactive_era;
-  let head = th.my_head in
-  let rec detach () =
-    let cur = Atomic.get head in
-    if Atomic.compare_and_set head cur Inactive then cur else detach ()
-  in
-  let rec drain = function
-    | Inactive | Nil -> ()
-    | Cons c ->
-        let next = c.next in
-        release_ref th c.batch;
-        drain next
-  in
-  drain (detach ())
+  drain th (detach th.my_head)
 
 (* IBR-style birth-era validation against the single reservation era, with
    the load and header access resolved through the prebuilt descriptor.

@@ -226,6 +226,82 @@ let test_prev_reused_mid_zone (module S : Smr.Smr_intf.S) () =
   check "scan" true
     (List.filter (fun k -> k <> 40 && k <> 205) r = [ 10; 20; 30; 90; 100 ])
 
+(* Run [hooked hook f] from inside another hook: [f]'s protects reach
+   [hook], and the outer hook is re-armed afterwards. *)
+let nested_hooked hook f =
+  let outer = !before_protect in
+  in_hook := false;
+  Fun.protect
+    ~finally:(fun () ->
+      in_hook := true;
+      before_protect := outer)
+    (fun () -> hooked hook f)
+
+(* §3.2.1 recovery, deterministically.  On 10, 20, .., 100 with 50 and 60
+   marked in place, a search for 100 or an insert of 105 stands in the
+   chain with 40 as its last safe node.  Before its read of 60's link (the
+   second hop into the chain), the adversary puts a key right after 40:
+   [b] inserts 44, which unlinks the old chain on its way, and marks 44 in
+   place ([c] inserts 42 in front of it so [b]'s unlink CAS fails, then
+   deletes 42 again).  40 now links a marked 44 through a record the
+   traversal has not seen, so its next validation fails.  With recovery,
+   the traversal re-reads 40's link and goes on from 44 without a
+   restart: 44's link is marked, so it enters a new chain whose expected
+   record is the recovered one, and an insert unlinks 44 with a CAS on
+   40's link that expects exactly that record — any other [expected]
+   would fail the CAS and restart.  Without recovery, the failed
+   validation restarts the traversal once. *)
+let test_recovery_threads_expected ~recovery ~insert () =
+  let smr = CHp.create ~threads:3 ~slots:Scot.Harris_list.slots_needed () in
+  let t = HL.create ~recovery ~smr ~threads:3 () in
+  let a = HL.handle t ~tid:0 and b = HL.handle t ~tid:1
+  and c = HL.handle t ~tid:2 in
+  List.iter (fun k -> assert (labelled HL.insert a k)) keys;
+  let mark = mark_in_place ~insert:(labelled HL.insert) ~delete:HL.delete a b in
+  mark 60;
+  mark 50;
+  let quiesce () = List.iter HL.quiesce [ a; b; c ] in
+  quiesce ();
+  let freed () = List.assoc "freed" (HL.pool_stats t) in
+  let freed0 = freed () and restarts0 = HL.restarts t in
+  let fired = ref false in
+  let adversary () =
+    check "adversary inserts 44" true (labelled HL.insert b 44);
+    nested_hooked
+      (fun _ next ->
+        if next = 70 then
+          check "42 in front of 44" true (labelled HL.insert c 42))
+      (fun () -> check "adversary deletes 44" true (HL.delete b 44));
+    check "adversary deletes 42" true (HL.delete c 42)
+  in
+  let r =
+    hooked
+      (fun _ next ->
+        if next = 70 && not !fired then begin
+          fired := true;
+          adversary ()
+        end)
+      (fun () ->
+        if insert then labelled HL.insert a 105 else HL.search a 100)
+  in
+  check "adversary ran" true !fired;
+  check "answer" true r;
+  check_int "restarts"
+    (if recovery then 0 else 1)
+    (HL.restarts t - restarts0);
+  HL.check_invariants t;
+  let expect = [ 10; 20; 30; 40; 70; 80; 90; 100 ] in
+  check "contents" true
+    (HL.to_list t = if insert then expect @ [ 105 ] else expect);
+  (* An insert's traversal unlinked 44: the list holds no marked node, so
+     a search enters no chain. *)
+  reset_counts ();
+  check "search after" true (HL.search a 100);
+  check_int "marked chains left" (if insert then 0 else 1) !dups;
+  (* Reclaimed: the old chain (50, 60) and 42; 44 too once unlinked. *)
+  quiesce ();
+  check_int "nodes reclaimed" (if insert then 4 else 3) (freed () - freed0)
+
 (* {2 Adversarial coverage}
 
    Odd keys belong to the adversary, even keys to the traversal under
@@ -419,6 +495,16 @@ let () =
         ] );
       ( "prev-reuse",
         per_scheme "prev reused mid-zone" test_prev_reused_mid_zone );
+      ( "recovery",
+        List.map
+          (fun (recovery, insert) ->
+            Alcotest.test_case
+              (Printf.sprintf "HList %s through a re-linked chain%s"
+                 (if insert then "insert" else "search")
+                 (if recovery then "" else ", recovery off"))
+              `Quick
+              (test_recovery_threads_expected ~recovery ~insert))
+          [ (true, false); (true, true); (false, false); (false, true) ] );
       ( "adversarial",
         per_scheme "HList under delete-behind" test_hl_adversarial
         @ per_scheme "HMList under delete-behind" test_hm_adversarial );

@@ -439,11 +439,11 @@ let config_huge_adaptive =
         })
     ~threads:1 ()
 
-(* The HList operations under audit, bound to tid 0 and reached one of two
-   ways: the structure functor directly, or the type-erased
+(* The set operations under audit, bound to tid 0 and reached one of two
+   ways: the HList functor directly, or the type-erased
    [Harness.Instance] closures every benchmark run and store shard calls
-   through. *)
-type hlist_ops = {
+   through (for any structure). *)
+type set_ops = {
   search : int -> bool;
   insert : int -> bool;
   delete : int -> bool;
@@ -463,9 +463,9 @@ let functor_ops ~config (module S : Smr.Smr_intf.S) =
     quiesce = (fun () -> L.quiesce h);
   }
 
-let instance_ops ~config scheme =
+let instance_ops structure ~config scheme =
   let inst =
-    (Harness.Instance.find_builder_exn "HList").build scheme ~threads:1
+    (Harness.Instance.find_builder_exn structure).build scheme ~threads:1
       ~config ()
   in
   let tid = 0 in
@@ -476,14 +476,18 @@ let instance_ops ~config scheme =
     quiesce = (fun () -> inst.quiesce ~tid);
   }
 
-(* The HList operation fast paths must allocate zero minor words once the
-   node pool is warm: staged protected loads, canonical link records,
-   prebuilt retire records and handle-owned traversal scratch leave nothing
-   to cons, and the erased instance closures add nothing on top.  Asserted
-   per operation for EBR/HP/HPopt/HE/IBR/DBR; NR's insert legitimately
-   allocates (it never reclaims, so the freelist stays empty) and
-   Hyaline-1S pays a by-design per-op cons for its batch reference. *)
-let test_zero_alloc_ops_with ~config ~path (module S : Smr.Smr_intf.S) () =
+(* The SCOT traversals must allocate zero minor words once the node pool
+   is warm: staged protected loads, canonical link records, prebuilt
+   retire records, a cursor threaded through arguments and a handle
+   written once per find leave nothing to cons, and the erased instance
+   closures add nothing on top.  [~updates:true] asserts insert and delete
+   too (the lists); the tree and the skip list cons CAS descriptors and
+   towers on their update paths by design, so only their searches are
+   asserted.  Asserted per operation for EBR/HP/HPopt/HE/IBR/HLN/DBR;
+   NR's insert legitimately allocates (it never reclaims, so the freelist
+   stays empty). *)
+let test_zero_alloc_ops_with ~config ~updates ~path (module S : Smr.Smr_intf.S)
+    () =
   let ops = path ~config (module S : Smr.Smr_intf.S) in
   let keys = 64 in
   let odd = keys / 2 in
@@ -522,19 +526,20 @@ let test_zero_alloc_ops_with ~config ~path (module S : Smr.Smr_intf.S) () =
   let insert_words = words (fun i -> ops.insert ((2 * i) + 1)) odd in
   let delete_words = words (fun i -> ops.delete ((2 * i) + 1)) odd in
   ops.quiesce ();
+  let asserted =
+    ("search", search_words)
+    :: (if updates then [ ("insert", insert_words); ("delete", delete_words) ]
+        else [])
+  in
   match S.name with
-  | "EBR" | "HP" | "HPopt" | "HE" | "IBR" | "DBR" ->
+  | "EBR" | "HP" | "HPopt" | "HE" | "IBR" | "HLN" | "DBR" ->
       List.iter
         (fun (op, w) ->
           check
             (Printf.sprintf "%s: %s allocates nothing (got %.2f words)" S.name
                op w)
             true (w <= 0.01))
-        [
-          ("search", search_words);
-          ("insert", insert_words);
-          ("delete", delete_words);
-        ]
+        asserted
   | _ -> ()
 
 let test_zero_alloc_ops = test_zero_alloc_ops_with ~config:config_huge
@@ -890,6 +895,23 @@ let per_scheme name f =
         (f (module S : Smr.Smr_intf.S)))
     Smr.Registry.all
 
+(* Every SCOT traversal under the zero-allocation gate: HList directly and
+   through [Instance], HMList through [Instance] (all three operations),
+   and the tree and skip-list searches through [Instance]. *)
+let zero_alloc_cases test ~suffix =
+  let case name ~updates path =
+    per_scheme (name ^ suffix) (test ~updates ~path)
+  in
+  case "zero-alloc HList ops" ~updates:true functor_ops
+  @ case "zero-alloc HList ops via Instance" ~updates:true
+      (instance_ops "HList")
+  @ case "zero-alloc HMList ops via Instance" ~updates:true
+      (instance_ops "HMList")
+  @ case "zero-alloc NMTree search via Instance" ~updates:false
+      (instance_ops "NMTree")
+  @ case "zero-alloc SkipList search via Instance" ~updates:false
+      (instance_ops "SkipList")
+
 let () =
   Alcotest.run "smr"
     [
@@ -928,16 +950,10 @@ let () =
                   (test_era_period_constant s ~pinned))
               [ false; true ])
           [ "HE"; "IBR"; "HLN" ] );
-      ( "op-allocs",
-        per_scheme "zero-alloc HList ops"
-          (test_zero_alloc_ops ~path:functor_ops)
-        @ per_scheme "zero-alloc HList ops via Instance"
-            (test_zero_alloc_ops ~path:instance_ops) );
+      ("op-allocs", zero_alloc_cases test_zero_alloc_ops ~suffix:"");
       ( "op-allocs-adaptive",
-        per_scheme "zero-alloc HList ops with tuner on"
-          (test_zero_alloc_ops_adaptive ~path:functor_ops)
-        @ per_scheme "zero-alloc HList ops via Instance with tuner on"
-            (test_zero_alloc_ops_adaptive ~path:instance_ops) );
+        zero_alloc_cases test_zero_alloc_ops_adaptive ~suffix:" with tuner on"
+      );
       ("reader-law", List.map test_reader_law Smr.Registry.all);
       ("guard-law", List.map test_guarded_read_law Smr.Registry.all);
       ( "end-op-unpublishes",
