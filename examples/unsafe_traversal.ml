@@ -1,6 +1,8 @@
 (* Figure 2, live: Harris' original list (optimistic traversals, no SCOT)
    crashes under Hazard Pointers, while the SCOT version of the very same
-   list runs clean under an identical workload.  In C the crash is a
+   list runs clean under an identical workload.  Both are
+   [Scot.Harris_list]: HListUnsafe is built with its dangerous-zone
+   validation off ([~validation:`Off]), HList with it on.  In C the crash is a
    SEGFAULT; here it is the simulated use-after-free fault raised by the
    poisoned node header.
 

@@ -220,8 +220,9 @@ let table2 cfg =
 (* Table 1: SMR-compatibility matrix, demonstrated empirically.  For each
    structure variant and scheme we run a short write-heavy, small-range,
    aggressively-reclaiming stress; a structure is incompatible when the
-   simulated use-after-free fires.  Harris' list without SCOT must fault
-   under the robust schemes and survive under EBR/NR (Figure 2); every
+   simulated use-after-free fires.  Harris' list without SCOT
+   (HListUnsafe: Harris_list with validation off) must fault under the
+   robust schemes and survive under EBR/NR/DBR (Figure 2); every
    SCOT-enabled structure must survive everywhere. *)
 let table1 ?(threads = 8) ?(duration = 1.0) () =
   Report.section

@@ -197,7 +197,7 @@ type builder = {
   name : string;
   description : string;
   safe_for_robust : bool;
-      (* false for the deliberately unsafe Harris list variant *)
+      (* false for HListUnsafe (Harris_list with validation off) *)
   build : Smr.Registry.scheme -> threads:int -> ?config:Smr.Smr_intf.config ->
           unit -> t;
 }
@@ -222,7 +222,7 @@ let builders : builder list =
         let slots = Scot.Harris_list.slots_needed in
         let smr = S.create ?config ~threads ~slots () in
         of_set ~structure ~threads ~slots (module S) smr (module L)
-          (L.create ~recovery:false ~smr ~threads ()));
+          (L.create ~validation:`Restart ~smr ~threads ()));
     set "HListWF" "Harris' list with SCOT and wait-free traversals"
       (fun ~structure (module S) ~threads ?config () ->
         let module L = Scot.Harris_list_wf.Make (S) in
@@ -238,13 +238,13 @@ let builders : builder list =
         of_set ~structure ~threads ~slots (module S) smr (module L)
           (L.create ~smr ~threads ()));
     set ~safe_for_robust:false "HListUnsafe"
-      "Harris' list WITHOUT SCOT (Figure 2 demo; unsafe)"
+      "Harris' list, SCOT validation off (Figure 2 demo; unsafe)"
       (fun ~structure (module S) ~threads ?config () ->
-        let module L = Scot.Harris_list_unsafe.Make (S) in
-        let slots = Scot.Harris_list_unsafe.slots_needed in
+        let module L = Scot.Harris_list.Make (S) in
+        let slots = Scot.Harris_list.slots_needed in
         let smr = S.create ?config ~threads ~slots () in
         of_set ~structure ~threads ~slots (module S) smr (module L)
-          (L.create ~smr ~threads ()));
+          (L.create ~validation:`Off ~smr ~threads ()));
     set "NMTree" "Natarajan-Mittal tree with SCOT"
       (fun ~structure (module S) ~threads ?config () ->
         let module T = Scot.Nm_tree.Make (S) in

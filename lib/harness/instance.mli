@@ -80,14 +80,17 @@ type builder = {
   name : string;
   description : string;
   safe_for_robust : bool;
-      (** [false] only for the deliberately unsafe Harris-list variant. *)
+      (** [false] only for HListUnsafe, Harris' list with its SCOT
+          validation off. *)
   build :
     Smr.Registry.scheme -> threads:int -> ?config:Smr.Smr_intf.config ->
     unit -> t;
 }
 
 (** All registered structures: HList, HList-norec, HListWF, HMList,
-    HListUnsafe, NMTree, SkipList, SkipList-HS, HashMap. *)
+    HListUnsafe, NMTree, SkipList, SkipList-HS, HashMap.  HList,
+    HList-norec and HListUnsafe are one {!Scot.Harris_list} with its
+    validation [`Recover], [`Restart] and [`Off]. *)
 val builders : builder list
 
 val lookup_builder : string -> (builder, Smr.Lookup.error) result

@@ -1,6 +1,8 @@
 (* Harris' lock-free linked list with Safe Concurrent Optimistic Traversals
    (SCOT) — the paper's Figures 3-5, unrolled variant, including the
-   recovery optimisation of §3.2.1.
+   recovery optimisation of §3.2.1.  With the validation switched off
+   ([`Off]) the same code is Harris' original list (Figure 3), which is
+   not safe under the robust schemes (Figure 2).
 
    The list is an ordered integer set with one tail sentinel (key
    [max_int]); the pre-head sentinel is implicit via the [head] link cell,
@@ -30,10 +32,10 @@
    copy left — curr into slot 3 on entering the dangerous zone — goes
    from a lower index to a higher one, so it keeps that order anyway.
 
-   The operation fast paths are allocation-free: protected loads go through
-   the scheme's staged reader (built once per handle), link values are the
-   nodes' canonical prebuilt records, and retire hands over the node's
-   prebuilt [rc].  The traversal cursor (last safe link cell, its expected
+   The checked lists' fast paths are allocation-free: protected loads go
+   through the scheme's staged reader (built once per handle), link values
+   are the nodes' canonical prebuilt records, and retire hands over the
+   node's prebuilt [rc].  The traversal cursor (last safe link cell, its expected
    record, current node and its next field) is threaded through the hop
    functions' arguments, so a hop stores nothing: a store into the
    long-lived handle would be a write-barrier call per hop.  Only a find's
@@ -53,6 +55,9 @@ module G = Smr.Smr_intf.Guard
 let hp_unsafe = 3
 let slots_needed = 4
 
+type validation = [ `Recover | `Restart | `Off ]
+
+
 module Make (S : Smr.Smr_intf.S) = struct
   exception Restart
 
@@ -63,7 +68,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     pool : N.Pool.t;
     mk : unit -> N.t; (* pool-bound maker; prebuilds each node's [rc] *)
     restarts : Memory.Tcounter.t;
-    recovery : bool;
+    validation : validation;
   }
 
   type handle = {
@@ -81,7 +86,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     mutable pos_next : N.link;
   }
 
-  let create ?(recovery = true) ?(recycle = true) ~smr ~threads () =
+  let create ?(validation = `Recover) ?(recycle = true) ~smr ~threads () =
     let tail = N.fresh ~key:max_int ~next:N.null_link in
     let pool = N.Pool.create ~recycle ~threads () in
     {
@@ -91,7 +96,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       pool;
       mk = N.maker pool;
       restarts = Memory.Tcounter.create ~threads;
-      recovery;
+      validation;
     }
 
   let handle_on t s =
@@ -108,14 +113,26 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let handle t ~tid = handle_on t (S.register t.smr ~tid)
 
+  (* The tail is a barrier, so a checked traversal never reaches a null
+     link.  An unchecked one can, through a recycled node: in C that is a
+     wild pointer, here the simulated SEGFAULT. *)
   let node_of (l : N.link) =
-    match l.ln with Some n -> n | None -> assert false (* tail is a barrier *)
+    match l.ln with
+    | Some n -> n
+    | None -> Memory.Fault.fail "traversal reached a null link"
 
   (* Guarded load: protect the field's target and deref under the live
      token.  The traversal consumes link values immediately; the brand is
      what stops the *protection* from being assumed past [end_op]. *)
   let protect_link h tok ~slot field =
     G.deref (S.protect h.rdr tok ~slot field) tok
+
+  (* Only the unchecked list can retire a node twice (it unlinked a chain
+     another thread had already unlinked and reclaimed): that is Figure
+     2's double free, reported as the simulated SEGFAULT. *)
+  let retire h (n : N.t) =
+    try S.retire h.s n.N.rc
+    with Invalid_argument _ -> Memory.Fault.fail "double retire"
 
   (* Retire the unlinked chain [from, until) — the paper's Do_Retire.  The
      chain is private to us after the successful unlink CAS. *)
@@ -124,11 +141,24 @@ module Make (S : Smr.Smr_intf.S) = struct
       (* raw-load: the chain is unreachable and privately owned after the
          unlink CAS, so no protection is needed to walk it. *)
       let next = Atomic.get n.N.next in
-      S.retire h.s n.N.rc;
+      retire h n;
       retire_chain h (node_of next) ~until
     end
 
   let no_step () = ()
+
+  (* The per-hop hook of the operations' finds: nothing for the checked
+     lists.  The unchecked list can walk into a cycle of recycled nodes,
+     so its finds count their hops and report a runaway walk as the
+     simulated SEGFAULT instead of hanging. *)
+  let hop_hook h =
+    if h.t.validation != `Off then no_step
+    else
+      let hops = ref 0 in
+      fun () ->
+        incr hops;
+        if !hops > 10_000_000 then
+          Memory.Fault.fail "unchecked traversal entered a corrupted cycle"
 
   (* The find's result, stored once for the callers' CASes. *)
   let found h prev expected curr next =
@@ -167,12 +197,15 @@ module Make (S : Smr.Smr_intf.S) = struct
      deleted we must restart from the head; otherwise traversal continues
      at the link's new target, with the new record as [expected].  (A
      re-read equal to [expected] means the link holds it again, which is
-     exactly what validation asks.) *)
+     exactly what validation asks.)  With validation [`Off] it returns
+     [expected] without looking: Figure 3's unchecked walk. *)
   and validate h tok ~sc prev expected =
+    let v = h.t.validation in
+    if v == `Off then expected
     (* raw-load: validation witness — the physical record is only compared,
        never dereferenced. *)
-    if Atomic.get prev == expected then expected
-    else if not h.t.recovery then raise Restart
+    else if Atomic.get prev == expected then expected
+    else if v == `Restart then raise Restart
     else begin
       let l = protect_link h tok ~slot:sc prev in
       if l.N.marked then raise Restart;
@@ -237,6 +270,8 @@ module Make (S : Smr.Smr_intf.S) = struct
           next'
       end
 
+  let find h tok key ~srch = do_find h tok key ~srch ~on_step:(hop_hook h)
+
   let check_key key =
     if key >= max_int then invalid_arg "Harris_list: key must be < max_int"
 
@@ -247,7 +282,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     {
       Smr.Smr_intf.op2 =
         (fun tok h key ->
-          do_find h tok key ~srch:true ~on_step:no_step;
+          find h tok key ~srch:true;
           N.key h.pos_curr = key);
     }
 
@@ -300,7 +335,7 @@ module Make (S : Smr.Smr_intf.S) = struct
   (* Retry loops live at top level (closures capturing [h]/[key]/[node]
      would cons once per operation). *)
   let rec insert_loop h tok key node =
-    do_find h tok key ~srch:false ~on_step:no_step;
+    find h tok key ~srch:false;
     if N.key h.pos_curr = key then begin
       N.dealloc h.t.pool ~tid:h.tid node;
       false
@@ -338,7 +373,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     S.with_op2 h.s insert_body h key
 
   let rec delete_loop h tok key =
-    do_find h tok key ~srch:false ~on_step:no_step;
+    find h tok key ~srch:false;
     let curr = h.pos_curr in
     if N.key curr <> key then false
     else begin
@@ -352,8 +387,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       else begin
         (* Logically deleted; one unlink attempt (Figure 3, L22),
            otherwise a later traversal cleans the chain. *)
-        if Atomic.compare_and_set h.prev h.expected next then
-          S.retire h.s curr.N.rc;
+        if Atomic.compare_and_set h.prev h.expected next then retire h curr;
         true
       end
     end

@@ -8,7 +8,9 @@
     every robust SMR scheme: the traversal protects the first node of each
     marked chain in an extra hazard slot and re-validates, at every step
     through the "dangerous zone", that the last safe node still points to
-    it, restarting (or recovering, §3.2.1) otherwise.
+    it, restarting (or recovering, §3.2.1) otherwise.  With that
+    validation off the same code is Harris' original list (Figure 3), the
+    Figure 2 baseline.
 
     Keys may be any [int] below [max_int] (the tail-sentinel key). *)
 
@@ -16,6 +18,19 @@ val slots_needed : int
 (** Number of hazard slots to pass to {!Smr.Smr_intf.S.create} ([4]):
     three that rotate between the next, current and last safe node, plus
     one for the first node of a marked chain (§3.2). *)
+
+type validation = [ `Recover | `Restart | `Off ]
+(** What a traversal does in the dangerous zone:
+    - [`Recover]: SCOT validation with the §3.2.1 recovery optimisation —
+      on a failed validation the traversal continues from the last safe
+      node when it is still unmarked, instead of restarting from the head;
+    - [`Restart]: SCOT validation, restarting from the head when it fails;
+    - [`Off]: no validation — Harris' original list, which steps onto
+      reclaimed memory under the robust schemes (Figure 2; Table 1's
+      first row).  Corruption surfaces as {!Memory.Fault.Use_after_free}
+      (the simulated SEGFAULT): a reclaimed or null node, a double retire,
+      or a find longer than ten million hops (a cycle through recycled
+      nodes).  For tests and demonstrations only. *)
 
 module Make (S : Smr.Smr_intf.S) : sig
   type t
@@ -25,13 +40,12 @@ module Make (S : Smr.Smr_intf.S) : sig
   (** A per-thread access handle; not thread-safe, one per thread id. *)
 
   val create :
-    ?recovery:bool -> ?recycle:bool -> smr:S.t -> threads:int -> unit -> t
+    ?validation:validation -> ?recycle:bool -> smr:S.t -> threads:int ->
+    unit -> t
   (** [create ~smr ~threads ()] builds an empty set over the given SMR
-      instance.  [recovery] (default [true]) enables the §3.2.1 recovery
-      optimisation — on a failed dangerous-zone validation the traversal
-      continues from the last safe node when it is still unmarked, instead
-      of restarting from the head.  [recycle] (default [true]) lets the
-      node pool reuse reclaimed nodes (making ABA/use-after-free real). *)
+      instance.  [validation] defaults to [`Recover].  [recycle] (default
+      [true]) lets the node pool reuse reclaimed nodes (making
+      ABA/use-after-free real). *)
 
   val handle : t -> tid:int -> handle
   (** Register thread [tid] (0-based, < [threads]) and return its handle:

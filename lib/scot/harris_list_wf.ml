@@ -18,10 +18,10 @@ module Make (S : Smr.Smr_intf.S) = struct
   type t = { list : L.t; wf : Wf_help.t; fast_restarts : int }
   type handle = { hl : L.handle; t : t; tid : int }
 
-  let create ?recovery ?recycle ?(fast_restarts = default_fast_restarts)
+  let create ?recycle ?(fast_restarts = default_fast_restarts)
       ?help_delay ~smr ~threads () =
     {
-      list = L.create ?recovery ?recycle ~smr ~threads ();
+      list = L.create ?recycle ~smr ~threads ();
       wf = Wf_help.create ?delay:help_delay ~threads ();
       fast_restarts;
     }

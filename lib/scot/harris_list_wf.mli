@@ -14,7 +14,6 @@ module Make (S : Smr.Smr_intf.S) : sig
   type handle
 
   val create :
-    ?recovery:bool ->
     ?recycle:bool ->
     ?fast_restarts:int ->
     ?help_delay:int ->

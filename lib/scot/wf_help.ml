@@ -68,11 +68,12 @@ let poll t ~tid =
     r.next_tid <- (curr_tid + 1) mod Array.length t.records;
     if curr_tid = tid then None
     else
+      (* raw-load: announcement records are permanent, never reclaimed. *)
       let word = Atomic.get t.records.(curr_tid).help_tag in
       if not (is_input word) then None
       else
         let key = Atomic.get t.records.(curr_tid).help_key in
-        (* Re-read to pair the key with its tag. *)
+        (* Re-read to pair the key with its tag (raw-load: permanent). *)
         if Atomic.get t.records.(curr_tid).help_tag <> word then None
         else Some (key, word lsr 1, curr_tid)
   end
@@ -83,6 +84,7 @@ type status = Pending | Done of bool | Abandoned
    still pending, completed with a value, or superseded by a newer cycle
    (helpers must then abandon; the helpee never observes [Abandoned]). *)
 let peek t ~helpee ~tag =
+  (* raw-load: announcement records are permanent, never reclaimed. *)
   let word = Atomic.get t.records.(helpee).help_tag in
   if word = input_word tag then Pending
   else if is_input word then Abandoned

@@ -202,8 +202,8 @@ type capabilities = {
 
 (* {2 Typed guards: protection evidence at the type level}
 
-   The paper's Figure-2 bug is a dereference of a node whose protection has
-   lapsed.  The legacy [read]/[read_field] primitives below return plain
+   One class of use-after-free is a dereference of a node whose protection
+   has lapsed.  The legacy [read]/[read_field] primitives below return plain
    ['v] values, so nothing stops a caller from keeping one past [end_op]
    and dereferencing freed memory — the poisoned-header check then catches
    it at *run time*, in tests only.  Guards move that check to the type
@@ -220,8 +220,14 @@ type capabilities = {
      token instead of a bare ['v].
    - [Guard.deref] is the only way back to the value, and it demands the
      matching live token — a guard that outlives its [end_op] has no token
-     left that can unlock it, which is exactly the Figure-2 bug class made
-     unrepresentable.
+     left that can unlock it: that bug class is unrepresentable.
+
+   The paper's Figure-2 bug is not in that class: the traversal protects
+   and dereferences a node inside its bracket, under the live token, but
+   the node was reclaimed before the protection was published (its
+   predecessor's link never changed, so the protection validated).  The
+   structure's SCOT validation catches that; the poisoned header is the
+   runtime backstop.
 
    The representation compiles away: a token is [unit] and a guard is the
    value itself (no wrapper block), so the branded fast paths allocate
@@ -276,14 +282,6 @@ type ('a, 'b, 'r) op2 = { op2 : 'op. 'op Guard.token -> 'a -> 'b -> 'r }
 type ('a, 'b, 'c, 'r) op3 = {
   op3 : 'op. 'op Guard.token -> 'a -> 'b -> 'c -> 'r;
 }
-
-(* Deliberate escape hatch for the Figure-2 reproduction
-   ([Harris_list_unsafe]) and nothing else: it turns a guard back into a
-   bare value without consulting the token, i.e. it re-opens exactly the
-   hole the brand closes.  The lint confines it to the unsafe list. *)
-module Unsafe = struct
-  let leak_guard : ('v, 'op) Guard.t -> 'v = fun g -> Guard.deref g (Guard.mint ())
-end
 
 module type S = sig
   val name : string

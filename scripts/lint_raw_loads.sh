@@ -16,15 +16,13 @@
 #      quiescent observer, validation witness (compared physically, never
 #      dereferenced), own/protected node, pruned-and-private chain,
 #      sentinel, CAS-failure diagnosis.
-#   C. The escape hatches ([Unsafe.leak_guard], [Guard.mint],
-#      [Guard.embed]) appear only in harris_list_unsafe.ml, the
-#      deliberately broken baseline that reproduces the Figure-2 bug.
+#   C. The implementor-side guard constructors ([Guard.mint],
+#      [Guard.embed]) never appear: a structure forging a token or a
+#      guard would reopen the hole the brand closes.  The Figure-2
+#      baseline (HListUnsafe) is Harris_list with its validation off,
+#      so it needs no escape hatch either.
 #
-# Exempt files:
-#   - harris_list_unsafe.ml: the whole point of the file is to keep the
-#     unsound access pattern; it is quarantined by rule C instead.
-#   - wf_help.ml: operates on permanent per-thread announcement records
-#     that are never reclaimed, so no load in it can be a use-after-free.
+# No file is exempt.
 #
 # Runs from the repository root (the dune rule chdirs there); exits
 # non-zero listing every violation.
@@ -44,20 +42,14 @@ for f in lib/scot/*.ml; do
     fail=1
   fi
 
-  # Rule C: brand escape hatches are quarantined in the unsafe baseline.
-  if [ "$base" != harris_list_unsafe.ml ]; then
-    if hits=$(grep -nE '\bleak_guard\b|\b(Guard|G)\.(mint|embed)\b' "$f"); then
-      echo "lint_raw_loads: $base reaches for a guard escape hatch" >&2
-      echo "  (only harris_list_unsafe.ml may):" >&2
-      echo "$hits" >&2
-      fail=1
-    fi
+  # Rule C: no forged tokens or guards.
+  if hits=$(grep -nE '\b(Guard|G)\.(mint|embed)\b' "$f"); then
+    echo "lint_raw_loads: $base reaches for a guard escape hatch:" >&2
+    echo "$hits" >&2
+    fail=1
   fi
 
   # Rule B: raw loads must be annotated.
-  case "$base" in
-  harris_list_unsafe.ml | wf_help.ml) continue ;;
-  esac
   if ! out=$(awk -v W="$WINDOW" '
     {
       hist[NR % (W + 1)] = $0

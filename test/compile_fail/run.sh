@@ -2,8 +2,8 @@
 # Negative type-checking tests for the branded-guard API.
 #
 # Each cases/must_fail_*.ml encodes one way of dereferencing protection
-# evidence after end_op (the Figure-2 bug class); the build fails if any
-# of them typechecks.  cases/ok_*.ml are positive controls: the intended
+# evidence after end_op released it; the build fails if any of them
+# typechecks.  cases/ok_*.ml are positive controls: the intended
 # usage must keep compiling, otherwise the must-fail results are noise
 # (e.g. a broken include path makes everything fail with "Unbound").
 #

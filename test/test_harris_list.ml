@@ -11,9 +11,9 @@ let hp = Smr.Registry.find_exn "HP"
 
 module L = Scot.Harris_list.Make (Smr.Hp)
 
-let mk ?(threads = 1) ?recovery () =
+let mk ?(threads = 1) () =
   let smr = Smr.Hp.create ~threads ~slots:Scot.Harris_list.slots_needed () in
-  let t = L.create ?recovery ~smr ~threads () in
+  let t = L.create ~smr ~threads () in
   (t, Array.init threads (fun tid -> L.handle t ~tid))
 
 (* Marked chains are removed lazily: a search must skip over a logically

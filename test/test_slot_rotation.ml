@@ -253,7 +253,11 @@ let nested_hooked hook f =
    validation restarts the traversal once. *)
 let test_recovery_threads_expected ~recovery ~insert () =
   let smr = CHp.create ~threads:3 ~slots:Scot.Harris_list.slots_needed () in
-  let t = HL.create ~recovery ~smr ~threads:3 () in
+  let t =
+    HL.create
+      ~validation:(if recovery then `Recover else `Restart)
+      ~smr ~threads:3 ()
+  in
   let a = HL.handle t ~tid:0 and b = HL.handle t ~tid:1
   and c = HL.handle t ~tid:2 in
   List.iter (fun k -> assert (labelled HL.insert a k)) keys;

@@ -7,9 +7,10 @@
       physically unlinked, so the HP [protect] succeeds on a freed node and
       the subsequent dereference faults.  The SCOT validation (re-checking
       the last safe link) detects the unlink instead.
-   2. The actual Harris'-list-without-SCOT implementation under concurrent
-      load: it must fault under robust schemes and must NOT fault under
-      EBR/NR (Table 1's first row). *)
+   2. Harris' list without SCOT (HListUnsafe: [Harris_list] with its
+      validation off) under concurrent load: it must fault under the
+      robust schemes and must NOT fault under EBR/NR/DBR (Table 1's first
+      row). *)
 
 let check = Alcotest.(check bool)
 
@@ -119,40 +120,49 @@ let test_fig2_scot_validation_detects () =
 
 (* --- the real unsafe list under load --- *)
 
-let run_unsafe scheme ~seconds =
+let range = 16
+
+let run_unsafe name ~seconds ~check =
   Harness.Runner.run
     ~builder:(Harness.Instance.find_builder_exn "HListUnsafe")
-    ~scheme ~threads:8 ~range:16
+    ~scheme:(Smr.Registry.find_exn name) ~threads:8 ~range
     ~mix:(Harness.Workload.mix ~read:20 ~insert:40 ~delete:40)
-    ~duration:seconds ~config:aggressive ~check:false ()
+    ~duration:seconds ~config:aggressive ~check ()
 
-let test_unsafe_list_faults_under_hp () =
-  (* The fault is a race; retry a few short rounds until it fires (it fires
-     within the first round in practice). *)
+(* Table 1's X cells: the robust schemes reclaim what an unchecked
+   traversal is still walking.  The fault is a race; retry a few short
+   rounds until it fires (it fires within the first round in practice). *)
+let test_faults_under name () =
   let rec attempt n =
-    if n = 0 then Alcotest.fail "unsafe list never faulted under HP"
+    if n = 0 then Alcotest.failf "unsafe list never faulted under %s" name
     else
-      let r = run_unsafe (Smr.Registry.find_exn "HP") ~seconds:1.0 in
+      let r = run_unsafe name ~seconds:1.0 ~check:false in
       if r.faults = 0 then attempt (n - 1)
   in
   attempt 10
 
-let test_unsafe_list_safe_under_ebr () =
-  let r = run_unsafe (Smr.Registry.find_exn "EBR") ~seconds:1.0 in
-  check "no faults under EBR" true (r.faults = 0)
-
-let test_unsafe_list_safe_under_nr () =
-  let r = run_unsafe (Smr.Registry.find_exn "NR") ~seconds:0.5 in
-  check "no faults under NR" true (r.faults = 0)
-
-(* Table 1's DBR row: with no adversarial stall there is nothing to
-   neutralize, and a live operation's announcement pins everything retired
-   during it (posted-but-unacknowledged cells still pin), so even the
-   UNSAFE list cannot fault — DBR buys robustness through restarts, not by
-   racing reclamation against running readers. *)
-let test_unsafe_list_safe_under_dbr () =
-  let r = run_unsafe (Smr.Registry.find_exn "DBR") ~seconds:1.0 in
-  check "no faults under DBR" true (r.faults = 0)
+(* Table 1's V cells.  Under EBR and NR nothing an operation can reach is
+   reclaimed during it.  Under DBR, with no adversarial stall there is
+   nothing to neutralize, and a live operation's announcement pins
+   everything retired during it (posted-but-unacknowledged cells still
+   pin), so even the unchecked list cannot fault — DBR buys robustness
+   through restarts, not by racing reclamation against running readers.
+   Being safe there, the list must also be correct: the run checks the
+   key order, and the final size must be the prefill plus the successful
+   inserts minus the successful deletes. *)
+let test_safe_under name ~seconds () =
+  let r = run_unsafe name ~seconds ~check:true in
+  Alcotest.(check int) ("no faults under " ^ name) 0 r.faults;
+  let hits op =
+    List.fold_left
+      (fun acc (s : Harness.Metrics.op_stats) ->
+        if s.op = op then acc + s.hits else acc)
+      0 r.op_stats
+  in
+  Alcotest.(check int)
+    "final size = prefill + inserts - deletes"
+    ((range / 2) + hits Harness.Metrics.Insert - hits Harness.Metrics.Delete)
+    r.final_size
 
 let () =
   Alcotest.run "unsafe_traversals"
@@ -165,13 +175,14 @@ let () =
             test_fig2_scot_validation_detects;
         ] );
       ( "unsafe list under load",
-        [
-          Alcotest.test_case "faults under HP" `Slow
-            test_unsafe_list_faults_under_hp;
-          Alcotest.test_case "safe under EBR" `Slow
-            test_unsafe_list_safe_under_ebr;
-          Alcotest.test_case "safe under NR" `Slow test_unsafe_list_safe_under_nr;
-          Alcotest.test_case "safe under DBR" `Slow
-            test_unsafe_list_safe_under_dbr;
-        ] );
+        List.map
+          (fun name ->
+            Alcotest.test_case ("faults under " ^ name) `Slow
+              (test_faults_under name))
+          [ "HP"; "HPopt"; "HE"; "IBR"; "HLN" ]
+        @ List.map
+            (fun (name, seconds) ->
+              Alcotest.test_case ("safe under " ^ name) `Slow
+                (test_safe_under name ~seconds))
+            [ ("EBR", 1.0); ("NR", 0.5); ("DBR", 1.0) ] );
     ]
