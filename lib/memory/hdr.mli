@@ -50,5 +50,7 @@ val mark_live_for_reuse : t -> unit
 val is_reclaimed : t -> bool
 
 (** Poison check — the simulated SEGFAULT.  Raises {!Fault.Use_after_free}
-    if the node was reclaimed and {!Fault.checked} is set. *)
+    if the node was reclaimed and {!Fault.checked} is set.  The check
+    inlines into the caller in release builds; formatting the fault
+    message is an out-of-line cold call. *)
 val check : t -> unit

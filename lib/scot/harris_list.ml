@@ -57,6 +57,19 @@ let slots_needed = 4
 
 type validation = [ `Recover | `Restart | `Off ]
 
+(* The per-hop hook of a find that has none.  [step]/[phase2] compare
+   [on_step] with it physically and skip the call, so the checked lists'
+   hops make no indirect call. *)
+let no_step () = ()
+
+(* The unchecked list's per-hop hook: it can walk into a cycle of recycled
+   nodes, so its finds count their hops and report a runaway walk as the
+   simulated SEGFAULT instead of hanging.  Applied to a handle's counter
+   once, when the handle is built; [find] resets the counter. *)
+let hop_bound hops () =
+  incr hops;
+  if !hops > 10_000_000 then
+    Memory.Fault.fail "unchecked traversal entered a corrupted cycle"
 
 module Make (S : Smr.Smr_intf.S) = struct
   exception Restart
@@ -76,6 +89,8 @@ module Make (S : Smr.Smr_intf.S) = struct
     s : S.th;
     tid : int;
     rdr : N.link S.reader;
+    hops : int ref; (* hops of the current find; [`Off] lists only *)
+    hop_step : unit -> unit; (* [no_step], or [hop_bound hops] for [`Off] *)
     (* The last find's result, written once when the find returns:
        [prev] is the last safe link cell, [expected] the physical record
        read there, [pos_curr] the first unmarked node with key >= target,
@@ -100,11 +115,14 @@ module Make (S : Smr.Smr_intf.S) = struct
     }
 
   let handle_on t s =
+    let hops = ref 0 in
     {
       t;
       s;
       tid = S.tid s;
       rdr = S.reader s N.desc;
+      hops;
+      hop_step = (if t.validation == `Off then hop_bound hops else no_step);
       prev = t.head;
       expected = N.null_link;
       pos_curr = t.tail;
@@ -115,8 +133,9 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   (* The tail is a barrier, so a checked traversal never reaches a null
      link.  An unchecked one can, through a recycled node: in C that is a
-     wild pointer, here the simulated SEGFAULT. *)
-  let node_of (l : N.link) =
+     wild pointer, here the simulated SEGFAULT.  [node_of] and
+     [protect_link] run on every hop, so they inline into it. *)
+  let[@inline] node_of (l : N.link) =
     match l.ln with
     | Some n -> n
     | None -> Memory.Fault.fail "traversal reached a null link"
@@ -124,7 +143,7 @@ module Make (S : Smr.Smr_intf.S) = struct
   (* Guarded load: protect the field's target and deref under the live
      token.  The traversal consumes link values immediately; the brand is
      what stops the *protection* from being assumed past [end_op]. *)
-  let protect_link h tok ~slot field =
+  let[@inline] protect_link h tok ~slot field =
     G.deref (S.protect h.rdr tok ~slot field) tok
 
   (* Only the unchecked list can retire a node twice (it unlinked a chain
@@ -144,21 +163,6 @@ module Make (S : Smr.Smr_intf.S) = struct
       retire h n;
       retire_chain h (node_of next) ~until
     end
-
-  let no_step () = ()
-
-  (* The per-hop hook of the operations' finds: nothing for the checked
-     lists.  The unchecked list can walk into a cycle of recycled nodes,
-     so its finds count their hops and report a runaway walk as the
-     simulated SEGFAULT instead of hanging. *)
-  let hop_hook h =
-    if h.t.validation != `Off then no_step
-    else
-      let hops = ref 0 in
-      fun () ->
-        incr hops;
-        if !hops > 10_000_000 then
-          Memory.Fault.fail "unchecked traversal entered a corrupted cycle"
 
   (* The find's result, stored once for the callers' CASes. *)
   let found h prev expected curr next =
@@ -224,7 +228,7 @@ module Make (S : Smr.Smr_intf.S) = struct
      [sn] and [sc]; [sp] keeps the last safe node throughout. *)
   and step h tok key ~srch ~on_step ~sn ~sc ~sp prev expected (curr : N.t) cf
       (next : N.link) =
-    on_step ();
+    if on_step != no_step then on_step ();
     if next.N.marked then begin
       (* [curr] is logically deleted: protect the first unsafe node and
          enter the dangerous zone. *)
@@ -241,7 +245,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   and phase2 h tok key ~srch ~on_step ~sn ~sc ~sp prev expected ~zstart
       (next : N.link) =
-    on_step ();
+    if on_step != no_step then on_step ();
     let l = validate h tok ~sc prev expected in
     if l != expected then begin
       let recovered = node_of l in
@@ -270,7 +274,9 @@ module Make (S : Smr.Smr_intf.S) = struct
           next'
       end
 
-  let find h tok key ~srch = do_find h tok key ~srch ~on_step:(hop_hook h)
+  let find h tok key ~srch =
+    h.hops := 0;
+    do_find h tok key ~srch ~on_step:h.hop_step
 
   let check_key key =
     if key >= max_int then invalid_arg "Harris_list: key must be < max_int"

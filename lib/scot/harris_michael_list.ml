@@ -72,13 +72,15 @@ module Make (S : Smr.Smr_intf.S) = struct
       pos_next = N.null_link;
     }
 
-  let node_of (l : N.link) =
+  (* [node_of] and [protect_link] run on every hop, so they inline into
+     it. *)
+  let[@inline] node_of (l : N.link) =
     match l.ln with Some n -> n | None -> assert false (* tail is a barrier *)
 
   (* Protected load through the branded bracket: the guard is dereferenced
      immediately under [tok], which the type system ties to the enclosing
      [with_op*] bracket. *)
-  let protect_link h tok ~slot field =
+  let[@inline] protect_link h tok ~slot field =
     G.deref (S.protect h.rdr tok ~slot field) tok
 
   (* The find's result, stored once for the callers' CASes. *)

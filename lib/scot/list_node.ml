@@ -68,12 +68,13 @@ let fresh ~key ~next =
   n
 
 (* Dereference helpers: every field access of a node models a pointer
-   dereference in the C original and goes through the poison check. *)
-let key n =
+   dereference in the C original and goes through the poison check.  Both
+   run on every hop, so they inline into the traversals. *)
+let[@inline] key n =
   Memory.Hdr.check n.hdr;
   n.key
 
-let next_field n =
+let[@inline] next_field n =
   Memory.Hdr.check n.hdr;
   n.next
 

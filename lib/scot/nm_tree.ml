@@ -65,20 +65,21 @@ let set_rc n rc =
   match n with Leaf l -> l.rc <- rc | Internal i -> i.rc <- rc
 
 (* Dereference helpers; every access models a C pointer dereference and goes
-   through the poison check. *)
-let key_of n =
+   through the poison check.  They run on every seek step, so they inline
+   into it. *)
+let[@inline] key_of n =
   Memory.Hdr.check (hdr_of n);
   match n with Leaf { key; _ } | Internal { key; _ } -> key
 
 type dir = L | R
 
-let child_field n (d : dir) =
+let[@inline] child_field n (d : dir) =
   Memory.Hdr.check (hdr_of n);
   match n with
   | Internal { left; right; _ } -> ( match d with L -> left | R -> right)
   | Leaf _ -> invalid_arg "Nm_tree.child_field: leaf has no children"
 
-let dir_for ~key n = if key < key_of n then L else R
+let[@inline] dir_for ~key n = if key < key_of n then L else R
 let opposite = function L -> R | R -> L
 
 let edge ?(flag = false) ?(tag = false) dst = { dst; flag; tag }
@@ -244,12 +245,12 @@ module Make (S : Smr.Smr_intf.S) = struct
      have been pruned and reclaimed.
      raw-load: validation witness — compared physically, never
      dereferenced. *)
-  let seek_validate key ancestor anc_edge =
+  let[@inline] seek_validate key ancestor anc_edge =
     let d = dir_for ~key ancestor in
     if Atomic.get (child_field ancestor d) != anc_edge then raise Restart
 
   (* Protected edge load through the branded bracket (see [Harris_list]). *)
-  let protect_edge h tok ~slot field =
+  let[@inline] protect_edge h tok ~slot field =
     G.deref (S.protect h.rdr tok ~slot field) tok
 
   (* The seek record travels as arguments and lands in [h.sk_*] once, when

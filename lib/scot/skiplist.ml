@@ -102,7 +102,9 @@ let fresh_node ~key ~height =
   in
   n
 
-let key_of n =
+(* Dereference helpers with the poison check; they run on every hop, so
+   they inline into it. *)
+let[@inline] key_of n =
   Memory.Hdr.check n.hdr;
   n.key
 
@@ -110,7 +112,7 @@ let height_of n =
   Memory.Hdr.check n.hdr;
   n.height
 
-let next_field n l =
+let[@inline] next_field n l =
   Memory.Hdr.check n.hdr;
   n.next.(l)
 
@@ -238,7 +240,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     else raise Restart
 
   (* Protected load through the branded bracket (see [Harris_list]). *)
-  let protect_link h tok ~slot field =
+  let[@inline] protect_link h tok ~slot field =
     G.deref (S.protect h.rdr tok ~slot field) tok
 
   let rec lf_step h tok ~level ~eager ~cleanup key prev expected pred

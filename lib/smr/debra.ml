@@ -157,7 +157,7 @@ type 'v reader = th
 
 let reader th _ = th
 
-let read_field (th : _ reader) ~slot:_ field =
+let[@inline] read_field (th : _ reader) ~slot:_ field =
   Probe.hit th.id Probe.Read;
   check th;
   Atomic.get field
@@ -170,13 +170,14 @@ let on_neutralized th =
   if Atomic.get th.my_mask <> 0 then Atomic.set th.my_mask 0;
   Atomic.incr th.global.restarts
 
+let protect r tok ~slot field =
+  Smr_intf.Guard.embed tok (read_field r ~slot field)
+
 include Smr_intf.Bracket (struct
   type nonrec th = th
-  type nonrec 'v reader = 'v reader
 
   let start_op = start_op
   let end_op = end_op
-  let read_field = read_field
   let on_neutralized = on_neutralized
 end)
 

@@ -86,17 +86,18 @@ type 'v reader = th
 
 let reader th _ = th
 
-let read_field (th : _ reader) ~slot:_ field =
+let[@inline] read_field (th : _ reader) ~slot:_ field =
   Probe.hit th.id Probe.Read;
   Atomic.get field
 
+let protect r tok ~slot field =
+  Smr_intf.Guard.embed tok (read_field r ~slot field)
+
 include Smr_intf.Bracket (struct
   type nonrec th = th
-  type nonrec 'v reader = 'v reader
 
   let start_op = start_op
   let end_op = end_op
-  let read_field = read_field
   let on_neutralized _ = ()
 end)
 

@@ -78,12 +78,14 @@ let end_op th = Array.iter (fun c -> Atomic.set c no_era) th.my_slots
    validation needs no header access, so the staged reader is just the
    handle ([desc] is unused).  The loop lives at top level with explicit
    arguments — an inner [let rec] would capture its environment and cons a
-   closure on every call. *)
+   closure on every call.  [era] is annotated: left polymorphic, the
+   [e = prev] test compiles to a C call to the generic [compare] on every
+   protected load. *)
 type 'v reader = th
 
 let reader th _ = th
 
-let rec stable_era_loop field era cell prev =
+let rec stable_era_loop field (era : int Atomic.t) cell prev =
   let v = Atomic.get field in
   let e = Atomic.get era in
   if e = prev then v
@@ -92,18 +94,19 @@ let rec stable_era_loop field era cell prev =
     stable_era_loop field era cell e
   end
 
-let read_field (th : _ reader) ~slot field =
+let[@inline] read_field (th : _ reader) ~slot field =
   Probe.hit th.id Probe.Read;
   let cell = th.my_slots.(slot) in
   stable_era_loop field th.global.era cell (Atomic.get cell)
 
+let protect r tok ~slot field =
+  Smr_intf.Guard.embed tok (read_field r ~slot field)
+
 include Smr_intf.Bracket (struct
   type nonrec th = th
-  type nonrec 'v reader = 'v reader
 
   let start_op = start_op
   let end_op = end_op
-  let read_field = read_field
   let on_neutralized _ = ()
 end)
 

@@ -92,7 +92,14 @@ struct
      header access resolve through the prebuilt descriptor — publish is
      one unboxed store per hop.  The loop is a top-level function over
      explicit arguments so a protected load allocates nothing (an inner
-     [let rec] would cons a closure). *)
+     [let rec] would cons a closure).
+
+     A re-read that is physically the value just published for ([v' == v])
+     validates at once: the descriptor is pure, so [hdr v'] is [h] and the
+     header compare could only succeed.  That is the common hop, and it
+     makes two descriptor calls instead of four.  A changed field (another
+     record, maybe with the same target, e.g. a mark flip) still goes
+     through the header compare. *)
   type 'v reader = { r_th : th; r_desc : 'v Smr_intf.desc }
 
   let reader th desc = { r_th = th; r_desc = desc }
@@ -106,21 +113,24 @@ struct
       let h = desc.Smr_intf.hdr v in
       Atomic.set cell h;
       let v' = Atomic.get field in
-      if (not (desc.Smr_intf.is_null v')) && desc.Smr_intf.hdr v' == h then v'
+      if v' == v then v'
+      else if (not (desc.Smr_intf.is_null v')) && desc.Smr_intf.hdr v' == h
+      then v'
       else read_field_loop cell desc field v'
     end
 
-  let read_field r ~slot field =
+  let[@inline] read_field r ~slot field =
     Probe.hit r.r_th.id Probe.Read;
     read_field_loop r.r_th.my_slots.(slot) r.r_desc field (Atomic.get field)
 
+  let protect r tok ~slot field =
+    Smr_intf.Guard.embed tok (read_field r ~slot field)
+
   include Smr_intf.Bracket (struct
     type nonrec th = th
-    type nonrec 'v reader = 'v reader
 
     let start_op = start_op
     let end_op = end_op
-    let read_field = read_field
     let on_neutralized _ = ()
   end)
 

@@ -148,17 +148,18 @@ let rec read_field_loop (desc : _ Smr_intf.desc) field resv era =
     read_field_loop desc field resv era
   end
 
-let read_field r ~slot:_ field =
+let[@inline] read_field r ~slot:_ field =
   Probe.hit r.r_th.id Probe.Read;
   read_field_loop r.r_desc field r.r_th.my_era r.r_th.global.era
 
+let protect r tok ~slot field =
+  Smr_intf.Guard.embed tok (read_field r ~slot field)
+
 include Smr_intf.Bracket (struct
   type nonrec th = th
-  type nonrec 'v reader = 'v reader
 
   let start_op = start_op
   let end_op = end_op
-  let read_field = read_field
   let on_neutralized _ = ()
 end)
 

@@ -141,17 +141,18 @@ let rec read_field_loop th (desc : _ Smr_intf.desc) field =
       read_field_loop th desc field
     end
 
-let read_field r ~slot:_ field =
+let[@inline] read_field r ~slot:_ field =
   Probe.hit r.r_th.id Probe.Read;
   read_field_loop r.r_th r.r_desc field
 
+let protect r tok ~slot field =
+  Smr_intf.Guard.embed tok (read_field r ~slot field)
+
 include Smr_intf.Bracket (struct
   type nonrec th = th
-  type nonrec 'v reader = 'v reader
 
   let start_op = start_op
   let end_op = end_op
-  let read_field = read_field
   let on_neutralized _ = ()
 end)
 

@@ -34,8 +34,8 @@ type reclaimable = {
    Built once per link type (a top-level constant in the data structure), it
    replaces the per-call [~load]/[~hdr_of] closures of [read]: the scheme
    stages whatever per-handle state it needs into a ['v reader] at handle
-   time, and the steady-state [read_field] is a direct call with no closure
-   capture.  [hdr] is only called on values for which [is_null] is false. *)
+   time, and the steady-state [protect] captures no closure.  [hdr] is only
+   called on values for which [is_null] is false. *)
 type 'v desc = {
   is_null : 'v -> bool;
   hdr : 'v -> Memory.Hdr.t;
@@ -426,9 +426,15 @@ module type S = sig
 end
 
 (* Shared implementation of the branded bracket: every scheme [include]s
-   this over its own [start_op]/[end_op]/[read_field]/[on_neutralized].
-   [Guard.mint]/[Guard.embed] erase to [unit]/identity, so the bracket adds
-   no allocation over calling the three primitives by hand.
+   this over its own [start_op]/[end_op]/[on_neutralized].
+   [Guard.mint] erases to [unit], so the bracket adds no allocation over
+   calling the two primitives by hand.
+
+   The bracket is the once-per-operation half of the interface only.
+   [protect] is per hop, so each scheme defines it itself as
+   [Guard.embed tok (read_field r ~slot field)]: a functor body is compiled
+   once, against an unknown argument, so a [protect] defined here would
+   reach the scheme's load through one more indirect call on every hop.
 
    Each [with_op*] is a restart loop: {!Neutralized} — and only it — is
    caught (a match-exception case, not a try/finally), the scheme
@@ -438,11 +444,9 @@ end
    [end_op] (crash semantics, see the interface comment). *)
 module Bracket (B : sig
   type th
-  type 'v reader
 
   val start_op : th -> unit
   val end_op : th -> unit
-  val read_field : 'v reader -> slot:int -> 'v Atomic.t -> 'v
 
   val on_neutralized : th -> unit
   (* Acknowledge an observed neutralization: clear the handle's
@@ -451,8 +455,6 @@ module Bracket (B : sig
      checkpoints never raise); DBR withdraws its announcement. *)
 end) =
 struct
-  let protect r tok ~slot field = Guard.embed tok (B.read_field r ~slot field)
-
   (* [start_op] runs INSIDE the match-exception scope: its own checkpoint
      can observe a neutralization posted between the announce store and
      the check, and that raise must restart the bracket, not escape it. *)

@@ -673,6 +673,118 @@ let test_end_op_unpublishes (module S : Smr.Smr_intf.S) () =
       (Memory.Hdr.is_reclaimed node.N.hdr)
   end
 
+(* HP/HPopt protect, made observable: a link type whose descriptor counts
+   its calls and can run a hook inside [hdr] — between the protect's first
+   load and its re-read, where a concurrent writer's CAS would land — so
+   the race the validation loop exists for becomes deterministic. *)
+type tlink = { dst : Memory.Hdr.t option; mark : bool }
+
+let counting_desc ~on_hdr =
+  let calls = ref 0 in
+  let desc =
+    {
+      Smr.Smr_intf.is_null =
+        (fun l ->
+          incr calls;
+          Option.is_none l.dst);
+      hdr =
+        (fun l ->
+          incr calls;
+          on_hdr ();
+          Option.get l.dst);
+    }
+  in
+  (desc, calls)
+
+(* One protect of [field] by a reader (tid 0) inside a live bracket; [k]
+   runs with the result while the bracket still protects it, and with a
+   function that retires headers through a writer (tid 1) and flushes. *)
+let hp_protect_case (module S : Smr.Smr_intf.S) ~field ~desc k =
+  let t = S.create ~config:config_small ~threads:2 ~slots:2 () in
+  let reader = S.register t ~tid:0 in
+  let writer = S.register t ~tid:1 in
+  let rdr = S.reader reader desc in
+  S.with_op reader
+    {
+      Smr.Smr_intf.op0 =
+        (fun tok ->
+          let retire hdrs =
+            List.iter (fun h -> S.retire writer (reclaimable h)) hdrs;
+            S.flush writer
+          in
+          k retire
+            (Smr.Smr_intf.Guard.deref (S.protect rdr tok ~slot:0 field) tok));
+    }
+
+let hp_schemes = [ "HP"; "HPopt" ]
+
+(* An unchanged field validates on the re-read alone: [is_null] and [hdr]
+   of the loaded value, nothing for the re-read. *)
+let test_hp_protect_unchanged (module S : Smr.Smr_intf.S) () =
+  let a = { dst = Some (Memory.Hdr.create ()); mark = false } in
+  let field = Atomic.make a in
+  let desc, calls = counting_desc ~on_hdr:ignore in
+  hp_protect_case (module S) ~field ~desc (fun _ v ->
+      check "returns the installed record" true (v == a));
+  check_int "two descriptor calls" 2 !calls
+
+(* The field swings to another node between the load and the re-read:
+   protect must publish the new target and return it.  Retiring both
+   nodes while the bracket is live frees only the old one. *)
+let test_hp_protect_swing (module S : Smr.Smr_intf.S) () =
+  let ha = Memory.Hdr.create () and hb = Memory.Hdr.create () in
+  let a = { dst = Some ha; mark = false } and b = { dst = Some hb; mark = false } in
+  let field = Atomic.make a in
+  let swung = ref false in
+  let on_hdr () =
+    if not !swung then begin
+      swung := true;
+      Atomic.set field b
+    end
+  in
+  let desc, calls = counting_desc ~on_hdr in
+  hp_protect_case (module S) ~field ~desc (fun retire v ->
+      check "returns the new record" true (v == b);
+      retire [ ha; hb ];
+      check "old target freed" true (Memory.Hdr.is_reclaimed ha);
+      check "new target protected" false (Memory.Hdr.is_reclaimed hb));
+  check_int "one retry: six descriptor calls" 6 !calls
+
+(* A swing to another record with the same target (a mark flip) validates
+   through the header compare and returns the record the re-read saw. *)
+let test_hp_protect_mark_flip (module S : Smr.Smr_intf.S) () =
+  let ha = Memory.Hdr.create () in
+  let a = { dst = Some ha; mark = false } in
+  let a_marked = { dst = Some ha; mark = true } in
+  let field = Atomic.make a in
+  let flipped = ref false in
+  let on_hdr () =
+    if not !flipped then begin
+      flipped := true;
+      Atomic.set field a_marked
+    end
+  in
+  let desc, calls = counting_desc ~on_hdr in
+  hp_protect_case (module S) ~field ~desc (fun retire v ->
+      check "returns the re-read record" true (v == a_marked);
+      retire [ ha ];
+      check "target protected" false (Memory.Hdr.is_reclaimed ha));
+  check_int "header compare: four descriptor calls" 4 !calls
+
+let hp_protect_cases =
+  List.concat_map
+    (fun name ->
+      let s = Smr.Registry.find_exn name in
+      List.map
+        (fun (what, f) ->
+          Alcotest.test_case (Printf.sprintf "%s (%s)" what name) `Quick (f s))
+        [
+          ("unchanged field", test_hp_protect_unchanged);
+          ("swing to another node", test_hp_protect_swing);
+          ("mark flip validates", test_hp_protect_mark_flip);
+        ])
+    hp_schemes
+
 (* make_config must reject non-positive calibration values with an error
    naming the offending field (a zero [epoch_freq] used to surface as a
    [Division_by_zero] deep inside retire). *)
@@ -905,6 +1017,8 @@ let zero_alloc_cases test ~suffix =
   case "zero-alloc HList ops" ~updates:true functor_ops
   @ case "zero-alloc HList ops via Instance" ~updates:true
       (instance_ops "HList")
+  @ case "zero-alloc HListUnsafe ops via Instance" ~updates:true
+      (instance_ops "HListUnsafe")
   @ case "zero-alloc HMList ops via Instance" ~updates:true
       (instance_ops "HMList")
   @ case "zero-alloc NMTree search via Instance" ~updates:false
@@ -956,6 +1070,7 @@ let () =
       );
       ("reader-law", List.map test_reader_law Smr.Registry.all);
       ("guard-law", List.map test_guarded_read_law Smr.Registry.all);
+      ("hp-protect", hp_protect_cases);
       ( "end-op-unpublishes",
         per_scheme "protection dies with the bracket" test_end_op_unpublishes
       );
