@@ -348,12 +348,13 @@ let chaos_cmd =
           in
           (* The DBR headline artifact: the same stall, DBR next to the
              era/interval schemes (bounded-via-neutralization vs growing
-             EBR vs bounded-via-tracking IBR). *)
+             EBR vs bounded-via-tracking IBR).  DBR's run at [cmp_threads]
+             comes from the matrix above. *)
           let stall_cmp =
             if neutralizing then
               [
                 Harness.Experiments.stall_comparison ~structure
-                  ~threads:cmp_threads ~point ~range ~duration ();
+                  ~threads:cmp_threads ~point ~range ~duration ~matrix:runs ();
               ]
             else []
           in
@@ -994,19 +995,10 @@ let run_cmd =
              comma-separated, where NAME is read, mixed, churn, drain or an \
              R/I/D triple — e.g. read:2,churn:1,drain:0.5.")
   in
-  let domains =
-    Arg.(
-      value & opt int 0
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Runnable cores (0 = all workers).  Fewer than the thread \
-             count oversubscribes: the excess workers are parked \
-             mid-operation and rotated back in at the sample cadence.")
-  in
   cmd_of "run" "One custom benchmark run per requested thread count"
     Term.(
       const (fun threads duration json structure scheme range (r, i, d) skew
-                phases domains ->
+                phases ->
           preflight_json json;
           let builder = builder_of "run" structure
           and scheme = lookup "run" "scheme" Smr.Registry.find scheme in
@@ -1021,9 +1013,7 @@ let run_cmd =
               (fun threads ->
                 Harness.Runner.run
                   ~mix:(Harness.Workload.mix ~read:r ~insert:i ~delete:d)
-                  ~skew ~phases
-                  ?domains:(if domains > 0 then Some domains else None)
-                  ~builder ~scheme ~threads ~range
+                  ~skew ~phases ~builder ~scheme ~threads ~range
                   ~duration:
                     (Option.value duration
                        ~default:Harness.Experiments.default_cfg.duration)
@@ -1037,7 +1027,7 @@ let run_cmd =
       $ threads_arg ~absent:"1,2,4,8" $ duration_arg ~absent:"2" $ json_arg
       $ structure $ scheme
       $ range_arg ~default:10_000
-      $ mix $ skew $ phases $ domains)
+      $ mix $ skew $ phases)
 
 let () =
   let info =

@@ -63,15 +63,10 @@ let paired_median ~pairs ~ratio a b =
   (rounds, mid, ratio mid)
 
 let run_one cfg ~builder ~scheme ~threads ~range ?mix () =
-  (* One recorder set shared across the repeats: [Runner.run] resets and
-     reuses the buffers instead of reallocating them per repeat. *)
-  let recorders = Array.init threads (fun _ -> Metrics.create_recorder ()) in
-  let results =
-    List.init cfg.repeats (fun i ->
-        Runner.run ?mix ~seed:(0xC0FFEE + i) ~recorders ~builder ~scheme
-          ~threads ~range ~duration:cfg.duration ())
-  in
-  median_result results
+  median_result
+    (List.init cfg.repeats (fun i ->
+         Runner.run ?mix ~seed:(0xC0FFEE + i) ~builder ~scheme ~threads ~range
+           ~duration:cfg.duration ()))
 
 let cfg_meta cfg =
   [
@@ -577,20 +572,29 @@ let floor_run_json (f : floor_run) =
    panel of schemes side by side.  DBR's neutralization delivers once the
    laggard falls [neutralize_after] epochs behind, so its gauge flattens
    where EBR's grows; IBR bounds it too but keeps paying per-era
-   tracking.  Returns the underlying chaos runs in panel order. *)
+   tracking.  A panel scheme already run in [matrix] with the same
+   shape is taken from there, not run twice.  Returns the underlying
+   chaos runs in panel order. *)
 let stall_comparison ?(structure = "HList") ?(threads = 4) ?(stalled = 1)
     ?(point = "read") ?(range = 256) ?(duration = 1.0)
-    ?(schemes = [ "DBR"; "EBR"; "IBR" ]) () =
+    ?(schemes = [ "DBR"; "EBR"; "IBR" ]) ~matrix () =
   Report.section
     (Printf.sprintf
        "Stall comparison (%d stalled at '%s'): DBR neutralization vs \
         era/interval schemes"
        stalled point);
+  let same name c =
+    c.c_scheme = name && c.c_structure = structure && c.c_threads = threads
+    && c.c_stalled = stalled && c.c_point = point && c.c_range = range
+  in
   let runs =
     List.map
       (fun name ->
-        chaos ~structure ~threads ~stalled ~point ~range ~duration
-          ~scheme:(Smr.Registry.find_exn name) ())
+        match List.find_opt (same name) matrix with
+        | Some c -> c
+        | None ->
+            chaos ~structure ~threads ~stalled ~point ~range ~duration
+              ~scheme:(Smr.Registry.find_exn name) ())
       schemes
   in
   Report.table ~header:chaos_header (List.map chaos_row runs);

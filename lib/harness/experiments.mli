@@ -165,7 +165,10 @@ val floor_run_json : floor_run -> Json.t
 (** The DBR headline artifact: the same one-stalled-reader chaos run for a
     panel of schemes (default DBR, EBR, IBR) side by side — DBR's gauge
     flattens once neutralization delivers, EBR's grows, IBR bounds it
-    with per-era tracking.  Returns the chaos runs in panel
+    with per-era tracking.  [matrix] holds runs already made at the same
+    [duration] (the {!chaos_matrix} output): a panel scheme found there
+    with the same structure, [threads], [stalled], [point] and [range] is
+    reused instead of run again.  Returns the chaos runs in panel
     order. *)
 val stall_comparison :
   ?structure:string ->
@@ -175,6 +178,7 @@ val stall_comparison :
   ?range:int ->
   ?duration:float ->
   ?schemes:string list ->
+  matrix:chaos_run list ->
   unit ->
   chaos_run list
 

@@ -35,13 +35,6 @@ let create_recorder () =
     hist = Array.make (n_kinds * buckets) 0;
   }
 
-(* Zero a recorder in place so callers can reuse the buffers across runs
-   instead of reallocating one per repeat. *)
-let reset_recorder r =
-  Array.fill r.hits 0 n_kinds 0;
-  Array.fill r.misses 0 n_kinds 0;
-  Array.fill r.hist 0 (n_kinds * buckets) 0
-
 (* Index of the highest set bit: latencies of [2^b, 2^(b+1)) ns land in
    bucket [b]; 0 and 1 ns land in bucket 0. *)
 let bucket_of_ns ns =

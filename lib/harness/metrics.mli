@@ -5,18 +5,11 @@
 
 type op_kind = Search | Insert | Delete
 
-val op_kinds : op_kind list
-val op_kind_label : op_kind -> string
-
 (** One recorder per worker domain, written only by its owner while the run
     is live, merged by the coordinator after [Domain.join]. *)
 type recorder
 
 val create_recorder : unit -> recorder
-
-val reset_recorder : recorder -> unit
-(** Zero all counters in place, allowing the buffers to be reused across
-    runs (e.g. benchmark repeats) without reallocating. *)
 
 val count : recorder -> op_kind -> hit:bool -> unit
 (** Count an operation without a latency sample ([hit] is the op's boolean
@@ -45,7 +38,7 @@ type op_stats = {
 
 val merge : recorder array -> op_stats list
 (** Element-wise merge of all recorders; one entry per {!op_kind}, in
-    [op_kinds] order.  Percentiles are log-bucket estimates (geometric
+    declaration order.  Percentiles are log-bucket estimates (geometric
     bucket midpoints), exact to within a factor of 2. *)
 
 val total_ops : op_stats list -> int

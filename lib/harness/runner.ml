@@ -34,21 +34,14 @@ type result = {
   recoveries : Metrics.recovery_event list; (* supervised runs, chronological *)
 }
 
-let default_sample_every = 0.01
-
 let run ?(mix = Workload.read_write_50) ?(skew = Workload.Uniform)
-    ?(phases = []) ?(seed = 0xC0FFEE) ?config
-    ?(sample_every = default_sample_every) ?(check = true)
-    ?(measure_latency = true) ?recorders ?workers ?domains ?supervise ?prepare
+    ?(phases = []) ?(seed = 0xC0FFEE) ?config ?(sample_every = 0.01)
+    ?(check = true) ?(measure_latency = true) ?workers ?supervise ?prepare
     ?finish ~(builder : Instance.builder) ~(scheme : Smr.Registry.scheme)
     ~threads ~range ~duration () =
   let workers = Option.value workers ~default:threads in
   if workers < 1 || workers > threads then
     invalid_arg "Runner.run: workers must be in [1, threads]";
-  (match domains with
-  | Some d when d < 1 || d > workers ->
-      invalid_arg "Runner.run: domains must be in [1, workers]"
-  | _ -> ());
   let inst = builder.build scheme ~threads ?config () in
   if range >= inst.max_key then
     invalid_arg "Runner.run: key range exceeds the structure's key space";
@@ -64,16 +57,7 @@ let run ?(mix = Workload.read_write_50) ?(skew = Workload.Uniform)
   let mixes =
     Array.init (Workload.phase_count sched) (Workload.phase_mix sched)
   in
-  let recorders =
-    (* Callers running many repeats pass their own recorders so the buffers
-       are reused instead of reallocated per run. *)
-    match recorders with
-    | Some rs when Array.length rs = threads ->
-        Array.iter Metrics.reset_recorder rs;
-        rs
-    | Some _ -> invalid_arg "Runner.run: recorders array length <> threads"
-    | None -> Array.init threads (fun _ -> Metrics.create_recorder ())
-  in
+  let recorders = Array.init threads (fun _ -> Metrics.create_recorder ()) in
   (* The two measurement loops are split on [measure_latency] *outside* the
      loop so the steady state is branch-free.  The timed loop pays two
      allocation-free clock reads per op; the untimed loop performs no
@@ -130,7 +114,7 @@ let run ?(mix = Workload.read_write_50) ?(skew = Workload.Uniform)
   (match prepare with Some f -> f inst | None -> ());
   (* Fault-injecting callers capture traces and release their stalled tids
      in [finish]; the instance shutdown after it also covers an engine the
-     watchdog or the rotation created (a second shutdown is a no-op). *)
+     watchdog created (a second shutdown is a no-op). *)
   let target =
     {
       (Soak.instance_target inst) with
@@ -143,8 +127,8 @@ let run ?(mix = Workload.read_write_50) ?(skew = Workload.Uniform)
   (* [workers] < [threads] reserves the top tids for fault injection: they
      get SMR handles (registered by the builder) but no workload domain. *)
   let o =
-    Soak.run ~sample_every ~schedule:sched ?supervise ?runnable:domains target
-      ~workers ~duration body
+    Soak.run ~sample_every ~schedule:sched ?supervise target ~workers ~duration
+      body
   in
   if check && o.faults = 0 then inst.check_invariants ();
   {

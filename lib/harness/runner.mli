@@ -32,31 +32,25 @@ type result = {
           [supervise] was not passed) *)
 }
 
-val default_sample_every : float
-
 (** [run ~builder ~scheme ~threads ~range ~duration ()] executes one
     benchmark on the {!Soak} engine.  [mix] defaults to the paper's
     50r/25i/25d; [skew] (default {!Workload.Uniform}) selects the key
     distribution; [phases] (default none) cycles through a time-varying
     mix sequence, [mix] staying the label of record (resolution
-    [sample_every], the gauge period); [config] is the SMR calibration;
-    [check] (default true) verifies structure invariants after a
-    fault-free run; [measure_latency] (default true) times every
-    operation — when disabled the worker loop reads no clock and
-    allocates nothing per operation; [recorders] lets callers running
-    many repeats reuse the per-thread metric buffers (length must equal
-    [threads]).
+    [sample_every], the gauge period, default 0.01 s); [config] is the
+    SMR calibration; [check] (default true) verifies structure
+    invariants after a fault-free run; [measure_latency] (default true)
+    times every operation — when disabled the worker loop reads no clock
+    and allocates nothing per operation.
 
     Fault injection: [workers] (default [threads]) spawns workload
     domains only for tids [0, workers), the rest being SMR participants
     reserved for {!Instance.fault_control}; [prepare] runs before the
     release (stall victims there), [finish] after the final supervision
     pass and before the joins (capture traces there); the instance's
-    fault control is shut down after it.  [domains] < [workers]
-    oversubscribes and [supervise] recovers and respawns dead workers,
-    reported in [result.recoveries] (see {!Soak.run}); parked workers do
-    not heartbeat, so keep [heartbeat_timeout] above the rotation
-    period when combining the two. *)
+    fault control is shut down after it.  [supervise] recovers and
+    respawns dead workers, reported in [result.recoveries] (see
+    {!Soak.run}). *)
 val run :
   ?mix:Workload.mix ->
   ?skew:Workload.skew ->
@@ -66,9 +60,7 @@ val run :
   ?sample_every:float ->
   ?check:bool ->
   ?measure_latency:bool ->
-  ?recorders:Metrics.recorder array ->
   ?workers:int ->
-  ?domains:int ->
   ?supervise:Supervisor.config ->
   ?prepare:(Instance.t -> unit) ->
   ?finish:(Instance.t -> unit) ->

@@ -5,9 +5,8 @@
    1. stop flag, then the throughput window closes;
    2. final supervision pass, while the chaos engine that poisoned a
       crashed tid is still installed ([Chaos.revive] must target it);
-   3. oversubscription release (disarm, then wake the parked excess);
-   4. target shutdown, so no join can hang on a parked domain;
-   5. joins, then the quiesce flush (skipping tids that refuse it). *)
+   3. target shutdown, so no join can hang on a parked domain;
+   4. joins, then the quiesce flush (skipping tids that refuse it). *)
 
 type target = {
   threads : int;
@@ -112,16 +111,12 @@ type outcome = {
   max_unreclaimed : int;
   avg_unreclaimed : float;
   recoveries : Metrics.recovery_event list;
-  rotations : int;
 }
 
-let run ?(sample_every = 0.01) ?schedule ?supervise ?runnable
+let run ?(sample_every = 0.01) ?schedule ?supervise
     ?(on_sample = fun _ ~now:_ -> ()) tgt ~workers ~duration body =
   if workers < 1 || workers > tgt.threads then
     invalid_arg "Soak.run: workers must be in [1, threads]";
-  let runnable = Option.value runnable ~default:workers in
-  if runnable < 1 || runnable > workers then
-    invalid_arg "Soak.run: runnable must be in [1, workers]";
   let go = Atomic.make false and stop = Atomic.make false in
   let sup = Option.map (fun c -> Supervisor.create c ~workers) supervise in
   let ops = Array.make workers 0 and faults = Array.make workers 0 in
@@ -163,15 +158,6 @@ let run ?(sample_every = 0.01) ?schedule ?supervise ?runnable
     in
     ctl.domains.(tid) <- Some d
   in
-  (* Armed before any release, so the excess park at their first probe. *)
-  let oversub =
-    if runnable < workers then
-      Some
-        (Oversub.create (tgt.engine ())
-           ~tids:(List.init workers Fun.id)
-           ~runnable)
-    else None
-  in
   for tid = 0 to workers - 1 do
     spawn tid
   done;
@@ -196,13 +182,11 @@ let run ?(sample_every = 0.01) ?schedule ?supervise ?runnable
     samples :=
       { Metrics.t = now ctl; unreclaimed = tgt.unreclaimed () } :: !samples;
     on_sample ctl ~now:t;
-    supervise ~final:false;
-    Option.iter Oversub.tick oversub
+    supervise ~final:false
   done;
   Atomic.set stop true;
   let elapsed = now ctl in
   supervise ~final:true;
-  Option.iter Oversub.release oversub;
   tgt.shutdown ();
   for tid = 0 to workers - 1 do
     join ctl ~tid
@@ -228,7 +212,6 @@ let run ?(sample_every = 0.01) ?schedule ?supervise ?runnable
     avg_unreclaimed =
       float_of_int sum /. float_of_int (max 1 (List.length mem_series));
     recoveries = Option.fold ~none:[] ~some:Supervisor.events sup;
-    rotations = Option.fold ~none:0 ~some:Oversub.rotations oversub;
   }
 
 type check = { name : string; ok : bool; detail : string }

@@ -5,12 +5,11 @@
     per-sample hook.  The engine spawns one domain per worker and
     releases them together; every [sample_every] seconds until the end
     time it publishes the phase index, samples the unreclaimed gauge,
-    calls the hook, advances the {!Supervisor} and rotates the
-    {!Oversub} schedule.  Then it raises the stop flag, runs the final
-    supervision pass {e before} the target's shutdown (so {!Chaos.revive}
-    targets the engine that poisoned the tid), releases the rotation,
-    shuts the target down, joins and quiesces.  Times are seconds since
-    release on {!Clock}. *)
+    calls the hook and advances the {!Supervisor}.  Then it raises the
+    stop flag, runs the final supervision pass {e before} the target's
+    shutdown (so {!Chaos.revive} targets the engine that poisoned the
+    tid), shuts the target down, joins and quiesces.  Times are seconds
+    since release on {!Clock}. *)
 
 type target = {
   threads : int;  (** SMR participants; the final quiesce covers them all *)
@@ -70,14 +69,12 @@ type outcome = {
   max_unreclaimed : int;
   avg_unreclaimed : float;
   recoveries : Metrics.recovery_event list;
-  rotations : int;  (** oversubscription swaps completed *)
 }
 
 val run :
   ?sample_every:float ->
   ?schedule:Workload.schedule ->
   ?supervise:Supervisor.config ->
-  ?runnable:int ->
   ?on_sample:(ctl -> now:float -> unit) ->
   target ->
   workers:int ->
@@ -86,7 +83,7 @@ val run :
   outcome
 (** Run tids [\[0, workers)] for [duration] seconds (default sampling
     0.01 s).  [schedule] drives the phase index; [supervise] recovers and
-    respawns dead workers; [runnable] < [workers] oversubscribes.  A body
+    respawns dead workers.  A body
     killed by {!Chaos.Crashed} stops (and is reported to the supervisor);
     one killed by a use-after-free counts in [faults].  Tids that refuse
     the final quiesce are skipped. *)

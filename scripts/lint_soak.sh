@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
-# One-coordinator lint.  The soak protocol (worker spawn, the sample loop,
-# supervision and oversubscription) lives in lib/harness/soak.ml only;
+# One-coordinator lint.  The soak protocol (worker spawn, the sample loop
+# and supervision) lives in lib/harness/soak.ml only;
 # Runner, Serve and Overload are configurations of it and must not grow a
 # coordinator of their own again.  Two rules:
 #
-#   A. None of [Unix.select], [Supervisor.check], [Oversub.tick],
-#      [Oversub.release] or [Domain.spawn] appears in lib/harness/runner.ml,
-#      lib/store/serve.ml or lib/store/overload.ml.
+#   A. None of [Unix.select], [Supervisor.check] or [Domain.spawn] appears
+#      in lib/harness/runner.ml, lib/store/serve.ml or lib/store/overload.ml.
 #   B. Code that measures or waits uses the monotonic Harness.Clock:
 #      [Unix.gettimeofday] appears under lib/ only in the allow-list below
 #      (the wall-clock [created_unix] stamp of a BENCH document), once per
@@ -20,7 +19,7 @@ cd "$(dirname "$0")/.." || exit 1
 fail=0
 
 for f in lib/harness/runner.ml lib/store/serve.ml lib/store/overload.ml; do
-  if hits=$(grep -nE 'Unix\.select|Supervisor\.check|Oversub\.(tick|release)|Domain\.spawn' "$f"); then
+  if hits=$(grep -nE 'Unix\.select|Supervisor\.check|Domain\.spawn' "$f"); then
     while IFS= read -r line; do
       echo "$f:$line: coordinator code outside Harness.Soak"
     done <<<"$hits"

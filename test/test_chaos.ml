@@ -162,6 +162,27 @@ let test_chaos_bench_row () =
   check_int "max_unreclaimed" r.c_max_unreclaimed (int_key "max_unreclaimed");
   check_int "threads" r.c_threads (int_key "threads")
 
+(* The stall panel takes a scheme's run from the matrix it is given when
+   the shape matches, and runs it afresh when it does not. *)
+let test_stall_panel_reuses_matrix () =
+  let hp = Smr.Registry.find_exn "HP" in
+  let r =
+    Harness.Experiments.chaos ~threads:2 ~stalled:1 ~duration:0.2 ~range:128
+      ~scheme:hp ()
+  in
+  let panel range =
+    Harness.Experiments.stall_comparison ~threads:2 ~range ~duration:0.2
+      ~schemes:[ "HP" ] ~matrix:[ r ] ()
+  in
+  (match panel 128 with
+  | [ c ] -> check "same shape: the matrix run itself" true (c == r)
+  | _ -> Alcotest.fail "expected one panel run");
+  match panel 64 with
+  | [ c ] ->
+      check "other range: a fresh run" true (c != r);
+      check_int "at that range" 64 c.Harness.Experiments.c_range
+  | _ -> Alcotest.fail "expected one panel run"
+
 (* A tiny tune panel through its BENCH document: statics keep their
    threshold, the one adaptive row carries the speedup, and every row is a
    ["kind": "tune"] row. *)
@@ -302,6 +323,8 @@ let () =
             Alcotest.test_case "EBR grows" `Slow test_ebr_grows_unbounded;
             Alcotest.test_case "BENCH row carries the drain" `Slow
               test_chaos_bench_row;
+            Alcotest.test_case "stall panel reuses the matrix run" `Slow
+              test_stall_panel_reuses_matrix;
             Alcotest.test_case "tune panel BENCH rows" `Slow
               test_tune_bench_rows;
           ] );

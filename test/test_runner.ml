@@ -32,21 +32,22 @@ let test_throughput_denominator () =
 
 (* --- per-op metrics --- *)
 
-(* An out-of-range [domains] is rejected before the instance is built,
+(* An out-of-range [workers] is rejected before the instance is built,
    so [prepare] (which may spawn stall drivers) never runs. *)
-let test_domains_checked_first () =
+let test_workers_checked_first () =
+  let threads = 2 in
   List.iter
-    (fun domains ->
+    (fun workers ->
       let prepared = ref false in
       (match
-         Harness.Runner.run ~domains ~prepare:(fun _ -> prepared := true)
-           ~builder:hlist ~scheme:ebr ~threads:2 ~range:64 ~duration:0.05 ()
+         Harness.Runner.run ~workers ~prepare:(fun _ -> prepared := true)
+           ~builder:hlist ~scheme:ebr ~threads ~range:64 ~duration:0.05 ()
        with
-      | _ -> Alcotest.failf "domains=%d accepted" domains
+      | _ -> Alcotest.failf "workers=%d accepted" workers
       | exception Invalid_argument _ -> ());
-      check (Printf.sprintf "domains=%d: prepare not run" domains) false
+      check (Printf.sprintf "workers=%d: prepare not run" workers) false
         !prepared)
-    [ 0; 3 ]
+    [ 0; threads + 1 ]
 
 let test_op_stats_cover_ops () =
   let r = short_run () in
@@ -343,8 +344,8 @@ let () =
             test_duration_tolerance;
           Alcotest.test_case "throughput denominator" `Quick
             test_throughput_denominator;
-          Alcotest.test_case "domains checked before prepare" `Quick
-            test_domains_checked_first;
+          Alcotest.test_case "workers checked before prepare" `Quick
+            test_workers_checked_first;
         ] );
       ( "metrics",
         [
