@@ -151,9 +151,6 @@ let die cmd fmt =
       Stdlib.exit 1)
     fmt
 
-let parse cmd what f x =
-  try f x with Invalid_argument msg -> die cmd "bad --%s: %s" what msg
-
 let lookup cmd ?(hint = "") what find name =
   match find name with
   | Some v -> v
@@ -575,18 +572,16 @@ let serve_cmd =
                 range batch buckets skew mix phases crash ttl_pct ttl_s mode
                 min_speedup ->
           preflight_json json;
-          let parse what = parse "serve" what in
           let backend =
             lookup "serve" "backend" ~hint:" (hashmap or skiplist)"
               Scotstore.Shard.backend_of_string backend
           in
           let scheme = lookup "serve" "scheme" Smr.Registry.find scheme in
-          let skew = parse "skew" Harness.Workload.skew_of_string skew in
+          let skew = Harness.Workload.skew_of_string skew in
           let r, i, d = mix in
-          let mix = parse "mix" (fun () -> Harness.Workload.mix ~read:r ~insert:i ~delete:d) () in
+          let mix = Harness.Workload.mix ~read:r ~insert:i ~delete:d in
           let phases =
-            if phases = "" then []
-            else parse "phases" Harness.Workload.phases_of_string phases
+            if phases = "" then [] else Harness.Workload.phases_of_string phases
           in
           let single =
             match String.lowercase_ascii mode with
@@ -1002,11 +997,9 @@ let run_cmd =
           preflight_json json;
           let builder = builder_of "run" structure
           and scheme = lookup "run" "scheme" Smr.Registry.find scheme in
-          let parse what = parse "run" what in
-          let skew = parse "skew" Harness.Workload.skew_of_string skew in
+          let skew = Harness.Workload.skew_of_string skew in
           let phases =
-            if phases = "" then []
-            else parse "phases" Harness.Workload.phases_of_string phases
+            if phases = "" then [] else Harness.Workload.phases_of_string phases
           in
           let results =
             List.map
@@ -1034,13 +1027,21 @@ let () =
     Cmd.info "scotbench" ~version:"1.0"
       ~doc:"SCOT benchmark suite (PPoPP'26 reproduction)"
   in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            fig8_cmd; fig9_cmd; fig12_cmd; table1_cmd; table2_cmd;
-            ablation_recovery_cmd; ablation_wf_cmd; fig_skiplist_cmd;
-            mixes_cmd; chaos_cmd; recover_cmd; serve_cmd; pressure_cmd;
-            tune_cmd; all_cmd;
-            run_cmd;
-          ]))
+  (* A flag value the library rejects ([--mix 50/50/50], [-t 0],
+     [--crash 5], ...) raises [Invalid_argument]: a usage error, exit 1,
+     not an internal error. *)
+  match
+    Cmd.eval ~catch:false
+      (Cmd.group info
+         [
+           fig8_cmd; fig9_cmd; fig12_cmd; table1_cmd; table2_cmd;
+           ablation_recovery_cmd; ablation_wf_cmd; fig_skiplist_cmd;
+           mixes_cmd; chaos_cmd; recover_cmd; serve_cmd; pressure_cmd;
+           tune_cmd; all_cmd;
+           run_cmd;
+         ])
+  with
+  | code -> exit code
+  | exception Invalid_argument msg ->
+      Printf.eprintf "scotbench: %s\n" msg;
+      exit 1

@@ -2,19 +2,9 @@
 
    In the paper's C/C++ setting, touching a reclaimed node is a SEGFAULT.
    Here a reclaimed node is poisoned via its header state, and dereferencing
-   it with checking enabled raises [Use_after_free] instead.  Checking is a
-   plain-ref read on the hot path so benchmarks may leave it on or off. *)
+   it raises [Use_after_free] instead.  The check is always on: it is what
+   makes an unsafe traversal fail the way it would in C. *)
 
 exception Use_after_free of string
-
-let checked = ref true
-
-let enable () = checked := true
-let disable () = checked := false
-
-let with_checking flag f =
-  let prev = !checked in
-  checked := flag;
-  Fun.protect ~finally:(fun () -> checked := prev) f
 
 let fail what = raise (Use_after_free what)

@@ -2,20 +2,9 @@
 
     The paper's failure mode for unsafe optimistic traversals is a SEGFAULT
     (Figure 2).  Our substitute: reclaimed nodes are poisoned, and touching
-    one raises {!Use_after_free} when checking is enabled. *)
+    one raises {!Use_after_free}. *)
 
 exception Use_after_free of string
-
-(** Global checking flag.  Enabled by default; benchmarks may disable it to
-    measure the raw algorithm. *)
-val checked : bool ref
-
-val enable : unit -> unit
-val disable : unit -> unit
-
-(** [with_checking flag f] runs [f] with the checking flag set to [flag],
-    restoring the previous value afterwards (also on exceptions). *)
-val with_checking : bool -> (unit -> 'a) -> 'a
 
 (** [fail what] raises [Use_after_free what]. *)
 val fail : string -> 'a

@@ -42,11 +42,6 @@ let state t =
   | 1 -> Retired
   | _ -> Reclaimed
 
-let state_to_string = function
-  | Live -> "live"
-  | Retired -> "retired"
-  | Reclaimed -> "reclaimed"
-
 let serial t = Atomic.get t.st lsr 2
 let birth t = t.birth
 let retire_era t = t.retire_era
@@ -82,12 +77,11 @@ let mark_live_for_reuse t =
 let is_reclaimed t = Atomic.get t.st land 3 = reclaimed
 
 (* Hot-path poison check: the simulated SEGFAULT.  Every field access of a
-   traversal runs it, so the check is split: the test (one ref load, one
-   atomic load, two branches) inlines into the hop, and the message
-   formatting stays in an out-of-line cold function that only a fault
-   reaches. *)
+   traversal runs it, so the check is split: the test (one atomic load, one
+   branch) inlines into the hop, and the message formatting stays in an
+   out-of-line cold function that only a fault reaches. *)
 let[@inline never] fail_reclaimed t =
   Fault.fail
     (Printf.sprintf "dereferenced reclaimed node (serial %d)" (serial t))
 
-let[@inline] check t = if !Fault.checked && is_reclaimed t then fail_reclaimed t
+let[@inline] check t = if is_reclaimed t then fail_reclaimed t

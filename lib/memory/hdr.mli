@@ -21,7 +21,6 @@ type t
 val create : unit -> t
 
 val state : t -> state
-val state_to_string : state -> string
 
 (** Serial number; incremented each time the node is reclaimed. *)
 val serial : t -> int
@@ -50,7 +49,7 @@ val mark_live_for_reuse : t -> unit
 val is_reclaimed : t -> bool
 
 (** Poison check — the simulated SEGFAULT.  Raises {!Fault.Use_after_free}
-    if the node was reclaimed and {!Fault.checked} is set.  The check
+    if the node was reclaimed; it cannot be turned off.  The check
     inlines into the caller in release builds; formatting the fault
     message is an out-of-line cold call. *)
 val check : t -> unit

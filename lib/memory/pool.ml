@@ -26,16 +26,14 @@ module Make (N : NODE) = struct
   type freelist = { mutable buf : N.t array; mutable len : int }
 
   type t = {
-    recycle : bool;
     freelists : freelist array; (* owner-thread only *)
     fresh : Tcounter.t;
     recycled : Tcounter.t;
     freed : Tcounter.t;
   }
 
-  let create ?(recycle = true) ~threads () =
+  let create ~threads () =
     {
-      recycle;
       freelists = Array.init threads (fun _ -> { buf = [||]; len = 0 });
       fresh = Tcounter.create ~threads;
       recycled = Tcounter.create ~threads;
@@ -44,7 +42,7 @@ module Make (N : NODE) = struct
 
   let alloc t ~tid make =
     let fl = t.freelists.(tid) in
-    if t.recycle && fl.len > 0 then begin
+    if fl.len > 0 then begin
       fl.len <- fl.len - 1;
       let node = fl.buf.(fl.len) in
       Hdr.mark_live_for_reuse (N.hdr node);
@@ -76,7 +74,7 @@ module Make (N : NODE) = struct
   let free t ~tid node =
     Hdr.mark_reclaimed (N.hdr node);
     Tcounter.incr t.freed ~tid;
-    if t.recycle then fl_push t.freelists.(tid) node
+    fl_push t.freelists.(tid) node
 
   let allocated_fresh t = Tcounter.total t.fresh
   let recycled t = Tcounter.total t.recycled

@@ -16,9 +16,8 @@ module Make (N : NODE) : sig
   type t
 
   (** [create ~threads ()] builds a pool with one freelist per thread.
-      [recycle:false] disables reuse (every alloc is fresh) — useful to
-      isolate recycling effects in tests. *)
-  val create : ?recycle:bool -> threads:int -> unit -> t
+      Every pool recycles: a freed node is the next [alloc] on its thread. *)
+  val create : threads:int -> unit -> t
 
   (** [alloc t ~tid make] pops a recycled node from [tid]'s freelist
       (marking it live again) or calls [make] for a fresh one.  The caller

@@ -22,9 +22,6 @@ let get = 0
 let put = 1
 let del = 2
 
-let kind_name k =
-  if k = get then "get" else if k = put then "put" else "del"
-
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Batch_op.create: capacity must be positive";
   {
@@ -37,7 +34,6 @@ let create ~capacity =
 let length b = b.n
 let capacity b = Array.length b.kinds
 let is_empty b = b.n = 0
-let is_full b = b.n >= Array.length b.kinds
 let clear b = b.n <- 0
 
 let grow b =

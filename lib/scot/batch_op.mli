@@ -22,8 +22,6 @@ val put : int
 
 val del : int
 
-val kind_name : int -> string
-
 val create : capacity:int -> buf
 (** Raises [Invalid_argument] when [capacity <= 0]; the buffer still
     grows past it on demand (doubling). *)
@@ -33,8 +31,6 @@ val length : buf -> int
 val capacity : buf -> int
 
 val is_empty : buf -> bool
-
-val is_full : buf -> bool
 
 val clear : buf -> unit
 (** Drop all pending elements (O(1); arrays are retained). *)

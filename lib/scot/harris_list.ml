@@ -101,9 +101,9 @@ module Make (S : Smr.Smr_intf.S) = struct
     mutable pos_next : N.link;
   }
 
-  let create ?(validation = `Recover) ?(recycle = true) ~smr ~threads () =
+  let create ?(validation = `Recover) ~smr ~threads () =
     let tail = N.fresh ~key:max_int ~next:N.null_link in
-    let pool = N.Pool.create ~recycle ~threads () in
+    let pool = N.Pool.create ~threads () in
     {
       head = Atomic.make tail.N.in_link;
       tail;
@@ -404,81 +404,6 @@ module Make (S : Smr.Smr_intf.S) = struct
   let delete h key =
     check_key key;
     S.with_op2 h.s delete_body h key
-
-  (* Range membership scan ([range_mem]): every unmarked key in [lo, hi],
-     ascending.  This is the guards' composition proof: the scan keeps the
-     usual four slots protected (rotating like [step]) AND passes the
-     successor's guard as a first-class value from hop to hop — several
-     simultaneously live guards under one bracket token, none of which can
-     outlive it.
-
-     Semantics under concurrency: keys strictly increase along the
-     physical list, so emission is monotone; a Restart re-traverses from
-     the head with the already-emitted prefix as a watermark (emit only
-     keys greater than the last emitted one), which keeps the result
-     sorted and duplicate-free.  Keys present for the whole scan are
-     included; keys inserted or deleted concurrently may or may not be. *)
-  let rec scan h tok ~lo ~hi acc =
-    match scan_attempt h tok ~lo ~hi acc with
-    | r -> r
-    | exception Restart ->
-        Memory.Tcounter.incr h.t.restarts ~tid:h.tid;
-        scan h tok ~lo ~hi acc
-
-  and scan_attempt h tok ~lo ~hi acc =
-    let prev = h.t.head in
-    let first_g = S.protect h.rdr tok ~slot:1 prev in
-    let first = G.deref first_g tok in
-    scan_step h tok ~lo ~hi acc ~sn:0 ~sc:1 ~sp:2 prev first (node_of first)
-
-  and scan_step h tok ~lo ~hi acc ~sn ~sc ~sp prev expected (curr : N.t) =
-    let cf = N.next_field curr in
-    let next_g = S.protect h.rdr tok ~slot:sn cf in
-    scan_emit h tok ~lo ~hi acc ~sn ~sc ~sp prev expected curr cf next_g
-
-  (* [next_g] is the guard for [curr]'s successor link, still branded: it
-     is only dereferenced here, under the same token that issued it.  The
-     slots and the cursor ([prev]/[expected]) move exactly as in
-     [step]/[phase2]. *)
-  and scan_emit h tok ~lo ~hi acc ~sn ~sc ~sp prev expected curr cf next_g =
-    let next = G.deref next_g tok in
-    if next.N.marked then begin
-      (* [curr] is logically deleted — enter the dangerous zone exactly
-         like [step], but read-only. *)
-      S.dup h.s ~src:sc ~dst:hp_unsafe;
-      scan_zone h tok ~lo ~hi acc ~sn ~sc ~sp prev expected next
-    end
-    else
-      let k = N.key curr in
-      if k = max_int || k > hi then List.rev acc
-      else
-        let acc =
-          if k >= lo && (match acc with [] -> true | last :: _ -> k > last)
-          then k :: acc
-          else acc
-        in
-        scan_step h tok ~lo ~hi acc ~sn:sp ~sc:sn ~sp:sc cf next (node_of next)
-
-  and scan_zone h tok ~lo ~hi acc ~sn ~sc ~sp prev expected (next : N.link) =
-    let l = validate h tok ~sc prev expected in
-    if l != expected then
-      scan_step h tok ~lo ~hi acc ~sn ~sc ~sp prev l (node_of l)
-    else
-      let curr' = node_of next in
-      let cf' = N.next_field curr' in
-      let next_g' = S.protect h.rdr tok ~slot:sc cf' in
-      let next' = G.deref next_g' tok in
-      if next'.N.marked then
-        scan_zone h tok ~lo ~hi acc ~sn:sc ~sc:sn ~sp prev expected next'
-      else
-        scan_emit h tok ~lo ~hi acc ~sn:sc ~sc:sn ~sp prev expected curr' cf'
-          next_g'
-
-  let range_body =
-    { Smr.Smr_intf.op3 = (fun tok h lo hi -> scan h tok ~lo ~hi []) }
-
-  let range_mem h ~lo ~hi =
-    if lo > hi then [] else S.with_op3 h.s range_body h lo hi
 
   (* Force the scheme's reclamation machinery; for shutdown and tests. *)
   let quiesce h = S.flush h.s

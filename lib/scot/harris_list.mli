@@ -39,13 +39,10 @@ module Make (S : Smr.Smr_intf.S) : sig
   type handle
   (** A per-thread access handle; not thread-safe, one per thread id. *)
 
-  val create :
-    ?validation:validation -> ?recycle:bool -> smr:S.t -> threads:int ->
-    unit -> t
+  val create : ?validation:validation -> smr:S.t -> threads:int -> unit -> t
   (** [create ~smr ~threads ()] builds an empty set over the given SMR
-      instance.  [validation] defaults to [`Recover].  [recycle] (default
-      [true]) lets the node pool reuse reclaimed nodes (making
-      ABA/use-after-free real). *)
+      instance.  [validation] defaults to [`Recover].  The node pool always
+      reuses reclaimed nodes, which makes ABA and use-after-free real. *)
 
   val handle : t -> tid:int -> handle
   (** Register thread [tid] (0-based, < [threads]) and return its handle:
@@ -76,15 +73,6 @@ module Make (S : Smr.Smr_intf.S) : sig
   val search_bounded : handle -> int -> max_restarts:int -> bool option
   (** Like {!search} but gives up with [None] after more than
       [max_restarts] traversal restarts — the wait-free fast path (§3.4). *)
-
-  val range_mem : handle -> lo:int -> hi:int -> int list
-  (** [range_mem h ~lo ~hi] — every key in [\[lo, hi\]] that is a member,
-      in ascending order, duplicate-free.  Lock-free.  Linearizable only
-      per key: keys present for the whole scan are included and keys
-      absent throughout are not; a key inserted or deleted concurrently
-      may or may not appear.  Exercises guard composition: the scan holds
-      several simultaneously protected nodes whose branded guards are
-      passed between traversal steps under one operation token. *)
 
   (** {2 Single-bracket batch composition}
 

@@ -18,10 +18,10 @@ module Make (S : Smr.Smr_intf.S) = struct
   type t = { list : L.t; wf : Wf_help.t; fast_restarts : int }
   type handle = { hl : L.handle; t : t; tid : int }
 
-  let create ?recycle ?(fast_restarts = default_fast_restarts)
-      ?help_delay ~smr ~threads () =
+  let create ?(fast_restarts = default_fast_restarts) ?help_delay ~smr
+      ~threads () =
     {
-      list = L.create ?recycle ~smr ~threads ();
+      list = L.create ~smr ~threads ();
       wf = Wf_help.create ?delay:help_delay ~threads ();
       fast_restarts;
     }
@@ -74,12 +74,6 @@ module Make (S : Smr.Smr_intf.S) = struct
     | None ->
         let tag = Wf_help.request_help h.t.wf ~tid:h.tid ~key in
         slow_search h ~key ~tag ~helpee:h.tid
-
-  (* Range scans take the lock-free path directly: the wait-free helping
-     protocol covers single-key searches (Figure 7); a scan has no helper
-     analogue and the underlying traversal is already restart-bounded in
-     practice. *)
-  let range_mem h ~lo ~hi = L.range_mem h.hl ~lo ~hi
 
   let quiesce h = L.quiesce h.hl
 

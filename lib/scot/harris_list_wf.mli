@@ -14,7 +14,6 @@ module Make (S : Smr.Smr_intf.S) : sig
   type handle
 
   val create :
-    ?recycle:bool ->
     ?fast_restarts:int ->
     ?help_delay:int ->
     smr:S.t ->
@@ -35,10 +34,6 @@ module Make (S : Smr.Smr_intf.S) : sig
 
   val search : handle -> int -> bool
   (** Wait-free (Theorem 7): bounded fast path, then the helped slow path. *)
-
-  val range_mem : handle -> lo:int -> hi:int -> int list
-  (** Lock-free (not wait-free: the helping protocol has no scan
-      analogue); see {!Harris_list.Make.range_mem}. *)
 
   val quiesce : handle -> unit
 

@@ -47,9 +47,9 @@ module Make (S : Smr.Smr_intf.S) = struct
     mutable pos_next : N.link;
   }
 
-  let create ?(recycle = true) ~smr ~threads () =
+  let create ~smr ~threads () =
     let tail = N.fresh ~key:max_int ~next:N.null_link in
-    let pool = N.Pool.create ~recycle ~threads () in
+    let pool = N.Pool.create ~threads () in
     {
       head = Atomic.make tail.N.in_link;
       tail;

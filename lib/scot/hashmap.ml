@@ -36,12 +36,12 @@ module Make (S : Smr.Smr_intf.S) = struct
     mutable batch_pos : int;
   }
 
-  let create ?recycle ?(buckets = 64) ~smr ~threads () =
+  let create ?(buckets = 64) ~smr ~threads () =
     if buckets <= 0 then invalid_arg "Hashmap.create: buckets must be positive";
     {
       smr;
       buckets =
-        Array.init buckets (fun _ -> L.create ?recycle ~smr ~threads ());
+        Array.init buckets (fun _ -> L.create ~smr ~threads ());
       nbuckets = buckets;
     }
 

@@ -14,7 +14,6 @@ module Make (S : Smr.Smr_intf.S) : sig
   type handle
 
   val create :
-    ?recycle:bool ->
     ?buckets:int ->
     smr:S.t ->
     threads:int ->

@@ -40,8 +40,6 @@ let marked_copy l =
    Harris-Michael eager unlink. *)
 let unmarked_copy l = match l.ln with None -> null_link | Some n -> n.in_link
 
-let hdr_of_link l = match l.ln with None -> None | Some n -> Some n.hdr
-
 (* First-class descriptor for the staged protected loads ([S.reader]). *)
 let desc : link Smr.Smr_intf.desc =
   {

@@ -31,8 +31,6 @@ val marked_copy : link -> link
 val unmarked_copy : link -> link
 (** Unmarked view of a link (Harris-Michael eager unlink); canonical. *)
 
-val hdr_of_link : link -> Memory.Hdr.t option
-
 val desc : link Smr.Smr_intf.desc
 (** Field descriptor for staged protected loads. *)
 
@@ -48,7 +46,7 @@ module Pool : sig
   type node := t
   type t
 
-  val create : ?recycle:bool -> threads:int -> unit -> t
+  val create : threads:int -> unit -> t
   val alloc : t -> tid:int -> (unit -> node) -> node
   val free : t -> tid:int -> node -> unit
   val allocated_fresh : t -> int

@@ -167,13 +167,13 @@ module Make (S : Smr.Smr_intf.S) = struct
     mutable sk_par_edge : edge;
   }
 
-  let create ?(recycle = true) ~smr ~threads () =
+  let create ~smr ~threads () =
     let s_left = fresh_leaf inf1 and s_right = fresh_leaf inf2 in
     let sroot = fresh_internal inf1 ~left:s_left ~right:s_right in
     let r_right = fresh_leaf inf2 in
     let root = fresh_internal inf2 ~left:sroot ~right:r_right in
-    let leaf_pool = Pool.create ~recycle ~threads () in
-    let internal_pool = Pool.create ~recycle ~threads () in
+    let leaf_pool = Pool.create ~threads () in
+    let internal_pool = Pool.create ~threads () in
     {
       root;
       sroot;

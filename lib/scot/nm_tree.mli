@@ -43,7 +43,7 @@ module Make (S : Smr.Smr_intf.S) : sig
   type t
   type handle
 
-  val create : ?recycle:bool -> smr:S.t -> threads:int -> unit -> t
+  val create : smr:S.t -> threads:int -> unit -> t
   val handle : t -> tid:int -> handle
 
   val insert : handle -> int -> bool

@@ -171,8 +171,8 @@ module Make (S : Smr.Smr_intf.S) = struct
      run the eager-unlink traversal too (no read-only searches), which is
      HP-compatible without SCOT — the skip-list analogue of the
      Harris-Michael list (Table 1). *)
-  let create ?(recycle = true) ?(optimistic = true) ~smr ~threads () =
-    let pool = Pool.create ~recycle ~threads () in
+  let create ?(optimistic = true) ~smr ~threads () =
+    let pool = Pool.create ~threads () in
     {
       head = Array.init max_height (fun _ -> Atomic.make null_link);
       smr;

@@ -22,8 +22,7 @@ module Make (S : Smr.Smr_intf.S) : sig
   (** [optimistic:false] is the Herlihy-Shavit-style baseline: searches use
       the eager-unlink traversal (no read-only searches), the skip-list
       analogue of the Harris-Michael list. *)
-  val create :
-    ?recycle:bool -> ?optimistic:bool -> smr:S.t -> threads:int -> unit -> t
+  val create : ?optimistic:bool -> smr:S.t -> threads:int -> unit -> t
   val handle : t -> tid:int -> handle
 
   val insert : handle -> int -> bool

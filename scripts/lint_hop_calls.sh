@@ -54,10 +54,6 @@ scot__Harris_list          find_attempt    caml_apply4:2
 scot__Harris_list          step            caml_apply4 caml_apply3 *
 scot__Harris_list          phase2          caml_apply4:2 * caml_atomic_cas Scot.Harris_list.validate Scot.Harris_list.retire_chain
 scot__Harris_list          validate        caml_apply4
-scot__Harris_list          scan_attempt    caml_apply4
-scot__Harris_list          scan_step       caml_apply4
-scot__Harris_list          scan_emit       caml_apply3
-scot__Harris_list          scan_zone       caml_apply4 Scot.Harris_list.validate
 scot__Harris_michael_list  find_attempt    caml_apply4
 scot__Harris_michael_list  step            caml_apply4 caml_apply2 caml_atomic_cas
 scot__Nm_tree              seek            Scot.Nm_tree.seek_attempt Memory.Tcounter.cell caml_atomic_fetch_add

@@ -12,7 +12,7 @@ module F (S : Smr.Smr_intf.S) = struct
       }
 
   (* Guards also compose: two simultaneously live guards under one token
-     (the range-scan pattern). *)
+     (a traversal that holds several nodes at once). *)
   let good2 (th : S.th) (rdr : int S.reader) (f1 : int Atomic.t)
       (f2 : int Atomic.t) =
     S.with_op th

@@ -72,38 +72,12 @@ let test_key_bounds () =
   check "search negative" true (L.search h (-5));
   check "ordering with negatives" true (L.to_list t = [ min_int; -5 ])
 
-(* range_mem at quiescence agrees with filtering to_list, for every
-   scheme (the scan exercises guard composition: multiple live guards
-   under one bracket token). *)
-let test_range_mem (module S : Smr.Smr_intf.S) () =
-  let module LS = Scot.Harris_list.Make (S) in
-  let smr = S.create ~threads:1 ~slots:Scot.Harris_list.slots_needed () in
-  let t = LS.create ~smr ~threads:1 () in
-  let h = LS.handle t ~tid:0 in
-  List.iter (fun k -> ignore (LS.insert h k)) [ 2; 3; 5; 7; 11; 13; -4 ];
-  ignore (LS.delete h 5);
-  let expect lo hi = List.filter (fun k -> k >= lo && k <= hi) (LS.to_list t) in
-  List.iter
-    (fun (lo, hi) ->
-      check
-        (Printf.sprintf "%s range [%d, %d] = filtered to_list" S.name lo hi)
-        true
-        (LS.range_mem h ~lo ~hi = expect lo hi))
-    [
-      (0, 20);
-      (3, 7);
-      (min_int, max_int);
-      (6, 6);
-      (7, 7);
-      (8, 2);
-      (-10, 0);
-      (14, 1000);
-    ]
-
-(* Scans stay well-formed under concurrent churn: sorted, duplicate-free,
-   inside the requested window, and keys untouched for the whole scan are
-   always present. *)
-let test_range_mem_concurrent () =
+(* Searches stay exact while the nodes around them are reclaimed and
+   recycled: two domains insert and delete keys 0..49, and meanwhile keys
+   100..119 (never touched) are always found and keys 50..99 (never
+   inserted) never are.  The reader keeps going until the churn has
+   recycled nodes. *)
+let test_search_under_churn () =
   let threads = 3 in
   let t, hs = mk ~threads () in
   let h0 = hs.(0) in
@@ -111,6 +85,7 @@ let test_range_mem_concurrent () =
     ignore (L.insert h0 k)
   done;
   let stop = Atomic.make false in
+  let churned = Atomic.make 0 in
   let churn tid =
     Domain.spawn (fun () ->
         let h = hs.(tid) in
@@ -118,27 +93,26 @@ let test_range_mem_concurrent () =
         while not (Atomic.get stop) do
           ignore (L.insert h (!i mod 50));
           ignore (L.delete h (!i mod 50));
+          Atomic.incr churned;
           incr i
         done)
   in
   let d1 = churn 1 and d2 = churn 2 in
-  let rec sorted_dedup = function
-    | a :: (b :: _ as tl) -> a < b && sorted_dedup tl
-    | _ -> true
-  in
-  let stable = List.init 20 (fun i -> 100 + i) in
-  let ok = ref true in
-  for _ = 1 to 500 do
-    let r = L.range_mem h0 ~lo:0 ~hi:200 in
-    if not (sorted_dedup r) then ok := false;
-    if List.filter (fun k -> k >= 100) r <> stable then ok := false;
-    if List.exists (fun k -> k < 0 || k > 200) r then ok := false
+  let wrong = ref 0 and rounds = ref 0 in
+  while !rounds < 200 || Atomic.get churned < 20_000 do
+    for k = 50 to 119 do
+      if L.search h0 k <> (k >= 100) then incr wrong
+    done;
+    incr rounds
   done;
   Atomic.set stop true;
   Domain.join d1;
   Domain.join d2;
   L.check_invariants t;
-  check "scans sorted, windowed, stable keys present" true !ok
+  check_int "wrong search answers" 0 !wrong;
+  check "stable keys intact" true
+    (List.filter (fun k -> k >= 50) (L.to_list t) = List.init 20 (( + ) 100));
+  check "nodes were recycled" true (List.assoc "recycled" (L.pool_stats t) > 0)
 
 (* The recovery optimisation must not change semantics, only restart
    behaviour: run the same concurrent workload with and without it. *)
@@ -164,18 +138,7 @@ let () =
             Alcotest.test_case "key bounds" `Quick test_key_bounds;
             Alcotest.test_case "recovery on/off equivalence" `Quick
               test_recovery_equivalence;
+            Alcotest.test_case "searches exact under churn" `Quick
+              test_search_under_churn;
           ] );
-        ( "range-mem",
-          List.map
-            (fun s ->
-              Alcotest.test_case
-                (Printf.sprintf "quiescent agreement (%s)"
-                   (let module S = (val s : Smr.Smr_intf.S) in
-                   S.name))
-                `Quick (test_range_mem s))
-            Smr.Registry.all
-          @ [
-              Alcotest.test_case "well-formed under churn" `Quick
-                test_range_mem_concurrent;
-            ] );
       ])

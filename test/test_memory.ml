@@ -40,14 +40,6 @@ let test_hdr_double_free () =
   | () -> Alcotest.fail "double free must be rejected"
   | exception Invalid_argument _ -> ()
 
-let test_fault_toggle () =
-  let h = Memory.Hdr.create () in
-  Memory.Hdr.mark_retired h;
-  Memory.Hdr.mark_reclaimed h;
-  Memory.Fault.with_checking false (fun () -> Memory.Hdr.check h);
-  (* checking disabled: no fault *)
-  check "flag restored" true !Memory.Fault.checked
-
 let test_hdr_eras () =
   let h = Memory.Hdr.create () in
   Memory.Hdr.set_birth h 42;
@@ -154,14 +146,46 @@ let test_pool_recycles () =
   check_int "recycled count" 1 (P.recycled pool);
   check_int "freed count" 1 (P.freed pool)
 
-let test_pool_no_recycle () =
-  let pool = P.create ~recycle:false ~threads:1 () in
+(* The poison check cannot be turned off: a node the pool has freed
+   faults on [check], and once recycled it passes again. *)
+let test_pool_freed_faults () =
+  let pool = P.create ~threads:1 () in
   let n1 = P.alloc pool ~tid:0 (fun () -> { IntNode.hdr = Memory.Hdr.create (); v = 1 }) in
   Memory.Hdr.mark_retired (IntNode.hdr n1);
+  Memory.Hdr.check (IntNode.hdr n1);
+  (* retired but not freed: dereference still legal *)
   P.free pool ~tid:0 n1;
+  (match Memory.Hdr.check (IntNode.hdr n1) with
+  | () -> Alcotest.fail "a freed node must fault"
+  | exception Memory.Fault.Use_after_free _ -> ());
   let n2 = P.alloc pool ~tid:0 (fun () -> { IntNode.hdr = Memory.Hdr.create (); v = 2 }) in
-  check "no recycling" true (n1 != n2);
-  check_int "two fresh allocs" 2 (P.allocated_fresh pool)
+  check "recycled the freed node" true (n1 == n2);
+  Memory.Hdr.check (IntNode.hdr n2)
+
+(* Freelists are LIFO stacks that grow past their first chunk: 200 frees
+   come back in reverse order, and no alloc falls through to [make]. *)
+let test_pool_lifo_growth () =
+  let n = 200 in
+  let pool = P.create ~threads:1 () in
+  let nodes =
+    Array.init n (fun v ->
+        P.alloc pool ~tid:0 (fun () -> { IntNode.hdr = Memory.Hdr.create (); v }))
+  in
+  Array.iter
+    (fun node ->
+      Memory.Hdr.mark_retired (IntNode.hdr node);
+      P.free pool ~tid:0 node)
+    nodes;
+  let back =
+    Array.init n (fun _ ->
+        P.alloc pool ~tid:0 (fun () ->
+            Alcotest.fail "fresh allocation with a non-empty freelist"))
+  in
+  check "LIFO order" true
+    (Array.for_all2 ( == ) back (Array.init n (fun i -> nodes.(n - 1 - i))));
+  check_int "fresh count" n (P.allocated_fresh pool);
+  check_int "recycled count" n (P.recycled pool);
+  check_int "live estimate" n (P.live_estimate pool)
 
 let test_pool_per_thread_freelists () =
   let pool = P.create ~threads:2 () in
@@ -262,7 +286,6 @@ let () =
           Alcotest.test_case "double retire rejected" `Quick
             test_hdr_double_retire;
           Alcotest.test_case "double free rejected" `Quick test_hdr_double_free;
-          Alcotest.test_case "fault toggle" `Quick test_fault_toggle;
           Alcotest.test_case "eras" `Quick test_hdr_eras;
           Alcotest.test_case "two-block size" `Quick test_hdr_size;
           Alcotest.test_case "serial over 100k recycles" `Quick
@@ -275,7 +298,9 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "recycles" `Quick test_pool_recycles;
-          Alcotest.test_case "no-recycle mode" `Quick test_pool_no_recycle;
+          Alcotest.test_case "freed node faults" `Quick test_pool_freed_faults;
+          Alcotest.test_case "LIFO past the first chunk" `Quick
+            test_pool_lifo_growth;
           Alcotest.test_case "per-thread freelists" `Quick
             test_pool_per_thread_freelists;
         ] );

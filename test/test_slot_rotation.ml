@@ -147,8 +147,8 @@ let mark_in_place ~insert ~delete a b k =
 
 (* One marked chain (50, 60): a read-only search through it enters the
    dangerous zone once — exactly one dup — and still publishes once per
-   physical hop; so does a range scan.  An update's traversal unlinks the
-   chain, after which searches are back to no dup. *)
+   physical hop.  An update's traversal unlinks the chain, after which
+   searches are back to no dup. *)
 let test_hl_chain_one_dup () =
   let t, a, b = hl_list () in
   let mark = mark_in_place ~insert:HL.insert ~delete:HL.delete a b in
@@ -162,10 +162,6 @@ let test_hl_chain_one_dup () =
   check_int "search: one dup (zone entry)" 1 !dups;
   check_int "search: one protect per physical hop" 11 !protects;
   reset_counts ();
-  check "range through the chain" true
-    (HL.range_mem a ~lo:0 ~hi:1000 = [ 10; 20; 30; 40; 70; 80; 90; 100 ]);
-  check_int "range: one dup (zone entry)" 1 !dups;
-  reset_counts ();
   check "insert unlinks the chain" true (HL.insert a 105);
   check_int "insert: one dup (zone entry)" 1 !dups;
   reset_counts ();
@@ -174,57 +170,79 @@ let test_hl_chain_one_dup () =
   check_int "one protect per hop after cleanup" 9 !protects;
   HL.check_invariants t
 
+(* The same marked chain (50, 60) under every scheme: read-only searches
+   answer exactly for every key around it and enter it once per search
+   without unlinking it; the first update through it unlinks it. *)
+let test_chain_search (module S : Smr.Smr_intf.S) () =
+  let module C = Instrumented (S) in
+  let module L = Scot.Harris_list.Make (C) in
+  let smr = C.create ~threads:2 ~slots:Scot.Harris_list.slots_needed () in
+  let t = L.create ~smr ~threads:2 () in
+  let a = L.handle t ~tid:0 and b = L.handle t ~tid:1 in
+  List.iter (fun k -> assert (labelled L.insert a k)) keys;
+  let mark = mark_in_place ~insert:L.insert ~delete:L.delete a b in
+  mark 60;
+  mark 50;
+  let present = [ 10; 20; 30; 40; 70; 80; 90; 100 ] in
+  check "50 and 60 logically gone" true (L.to_list t = present);
+  let agree () =
+    List.for_all
+      (fun k -> L.search a k = List.mem k present)
+      (List.init 111 Fun.id)
+  in
+  check "searches agree with the contents" true (agree ());
+  reset_counts ();
+  check "search through the chain" true (L.search a 100);
+  check_int "search: the chain is still there" 1 !dups;
+  check "insert unlinks the chain" true (labelled L.insert a 105);
+  reset_counts ();
+  check "search after cleanup" true (L.search a 100);
+  check_int "search after cleanup: no dup" 0 !dups;
+  check_int "one protect per hop after cleanup" 9 !protects;
+  L.check_invariants t
+
 (* Reclaim on every retire, so a node nobody protects is freed at once. *)
 let aggressive =
   Smr.Smr_intf.make_config ~limbo_threshold:1 ~epoch_freq:1 ~batch_size:1
     ~threads:2 ()
 
 (* Prev reclaimed and reused in the middle of a marked chain.  On 10, 20,
-   .., 100 with 50 to 80 marked in place, an update or scan stands in the
-   chain with 40 as its last safe node.  Before its read of 70's link (two
+   .., 100 with 50 to 80 marked in place, an insert stands in the chain
+   with 40 as its last safe node.  Before its read of 70's link (two
    hops into the chain), a second handle deletes 40, forces a reclamation
    pass and inserts 205, which reuses whatever the pass freed.  40 is
    still the traversal's prev, so it must not be freed: if it were, 205
    would be built in it and the next validation would recover to 205's
-   successor, the tail — inserting 105 after 205, or ending the scan
-   early. *)
+   successor, the tail — inserting 105 after 205. *)
 let test_prev_reused_mid_zone (module S : Smr.Smr_intf.S) () =
   let module C = Instrumented (S) in
   let module L = Scot.Harris_list.Make (C) in
-  let run op =
-    let smr =
-      C.create ~config:aggressive ~threads:2
-        ~slots:Scot.Harris_list.slots_needed ()
-    in
-    let t = L.create ~recycle:true ~smr ~threads:2 () in
-    let a = L.handle t ~tid:0 and b = L.handle t ~tid:1 in
-    List.iter (fun k -> assert (labelled L.insert a k)) keys;
-    let mark = mark_in_place ~insert:L.insert ~delete:L.delete a b in
-    List.iter mark [ 80; 70; 60; 50 ];
-    let fired = ref false in
-    let r =
-      hooked
-        (fun _ next ->
-          if next = 80 && not !fired then begin
-            fired := true;
-            check "adversary deletes prev" true (L.delete b 40);
-            L.quiesce b;
-            check "adversary inserts" true (labelled L.insert b 205)
-          end)
-        (fun () -> op a)
-    in
-    check "adversary ran" true !fired;
-    L.check_invariants t;
-    (r, L.to_list t)
+  let smr =
+    C.create ~config:aggressive ~threads:2
+      ~slots:Scot.Harris_list.slots_needed ()
   in
-  let r, contents = run (fun a -> [ Bool.to_int (labelled L.insert a 105) ]) in
-  check "insert 105" true (r = [ 1 ]);
+  let t = L.create ~smr ~threads:2 () in
+  let a = L.handle t ~tid:0 and b = L.handle t ~tid:1 in
+  List.iter (fun k -> assert (labelled L.insert a k)) keys;
+  let mark = mark_in_place ~insert:L.insert ~delete:L.delete a b in
+  List.iter mark [ 80; 70; 60; 50 ];
+  let fired = ref false in
+  let r =
+    hooked
+      (fun _ next ->
+        if next = 80 && not !fired then begin
+          fired := true;
+          check "adversary deletes prev" true (L.delete b 40);
+          L.quiesce b;
+          check "adversary inserts" true (labelled L.insert b 205)
+        end)
+      (fun () -> labelled L.insert a 105)
+  in
+  check "adversary ran" true !fired;
+  L.check_invariants t;
+  check "insert 105" true r;
   check "contents after insert" true
-    (contents = [ 10; 20; 30; 90; 100; 105; 205 ]);
-  let r, _ = run (fun a -> L.range_mem a ~lo:0 ~hi:1000) in
-  (* 40 and 205 changed during the scan; every other key did not. *)
-  check "scan" true
-    (List.filter (fun k -> k <> 40 && k <> 205) r = [ 10; 20; 30; 90; 100 ])
+    (L.to_list t = [ 10; 20; 30; 90; 100; 105; 205 ])
 
 (* Run [hooked hook f] from inside another hook: [f]'s protects reach
    [hook], and the outer hook is re-armed afterwards. *)
@@ -341,9 +359,8 @@ module type SET = sig
 end
 
 module Adversarial (L : SET) = struct
-  (* The adversary's move before one protect; [touched] collects the keys
-     it changed during the current operation. *)
-  let adversary b st model touched next =
+  (* The adversary's move before one protect. *)
+  let adversary b st model next =
     let rec below k n acc =
       if k < 0 || n = 0 then List.rev acc
       else if model.(k) then below (k - 1) (n - 1) (k :: acc)
@@ -370,8 +387,7 @@ module Adversarial (L : SET) = struct
     List.iter
       (fun k ->
         check (Printf.sprintf "adversary deletes %d" k) true (L.delete b k);
-        model.(k) <- false;
-        touched := k :: !touched)
+        model.(k) <- false)
       victims;
     L.quiesce b;
     List.iter
@@ -383,14 +399,13 @@ module Adversarial (L : SET) = struct
         let k = absent () in
         check (Printf.sprintf "adversary inserts %d" k) true
           (labelled L.insert b k);
-        model.(k) <- true;
-        touched := k :: !touched)
+        model.(k) <- true)
       victims
 
   (* Random even-key operations by [a], each under the adversary; every
      answer, the adversary's included, is checked against a model of the
-     set.  [range_mem], when given, is one more kind of operation. *)
-  let run ?range_mem t a b ~dups_expected =
+     set. *)
+  let run t a b ~dups_expected =
     let model = Array.make universe false in
     for k = 0 to range - 1 do
       assert (labelled L.insert a ((2 * k) + 1));
@@ -400,15 +415,12 @@ module Adversarial (L : SET) = struct
     let st = Random.State.make [| 7 |] in
     for _ = 1 to 300 do
       let target = 2 * (1 + Random.State.int st (range - 1)) in
-      let touched = ref [] in
       let run f =
         hooked
-          (fun i next ->
-            if i <= max_actions then adversary b st model touched next)
+          (fun i next -> if i <= max_actions then adversary b st model next)
           f
       in
-      let kinds = if Option.is_none range_mem then 3 else 4 in
-      match Random.State.int st kinds with
+      match Random.State.int st 3 with
       | 0 ->
           check (Printf.sprintf "search %d" target) model.(target)
             (run (fun () -> L.search a target))
@@ -416,29 +428,10 @@ module Adversarial (L : SET) = struct
           check (Printf.sprintf "insert %d" target) (not model.(target))
             (run (fun () -> labelled L.insert a target));
           model.(target) <- true
-      | 2 ->
+      | _ ->
           check (Printf.sprintf "delete %d" target) model.(target)
             (run (fun () -> L.delete a target));
           model.(target) <- false
-      | _ ->
-          let scan = Option.get range_mem in
-          let lo = target / 2 and hi = target + 20 in
-          let r = run (fun () -> scan a ~lo ~hi) in
-          (* Keys the adversary left alone must be reported exactly. *)
-          let settled k = k mod 2 = 0 || not (List.mem k !touched) in
-          let expect =
-            List.filter
-              (fun k -> settled k && model.(k))
-              (List.init (hi - lo + 1) (fun i -> lo + i))
-          in
-          check "range: untouched keys exact" true
-            (List.filter settled r = expect);
-          let rec sorted = function
-            | x :: (y :: _ as tl) -> x < y && sorted tl
-            | _ -> true
-          in
-          check "range: sorted, windowed" true
-            (sorted r && List.for_all (fun k -> k >= lo && k <= hi) r)
     done;
     L.check_invariants t;
     check "final contents" true
@@ -457,9 +450,9 @@ let test_hl_adversarial (module S : Smr.Smr_intf.S) () =
     C.create ~config:aggressive ~threads:2
       ~slots:Scot.Harris_list.slots_needed ()
   in
-  let t = L.create ~recycle:true ~smr ~threads:2 () in
+  let t = L.create ~smr ~threads:2 () in
   (* The dangerous zone is exercised: marked chains are entered. *)
-  A.run t (L.handle t ~tid:0) (L.handle t ~tid:1) ~range_mem:L.range_mem
+  A.run t (L.handle t ~tid:0) (L.handle t ~tid:1)
     ~dups_expected:(fun n -> n > 0)
 
 let test_hm_adversarial (module S : Smr.Smr_intf.S) () =
@@ -470,7 +463,7 @@ let test_hm_adversarial (module S : Smr.Smr_intf.S) () =
     C.create ~config:aggressive ~threads:2
       ~slots:Scot.Harris_michael_list.slots_needed ()
   in
-  let t = L.create ~recycle:true ~smr ~threads:2 () in
+  let t = L.create ~smr ~threads:2 () in
   (* Eager unlinking never enters a marked chain: no dup at all. *)
   A.run t (L.handle t ~tid:0) (L.handle t ~tid:1)
     ~dups_expected:(fun n -> n = 0)
@@ -497,6 +490,14 @@ let () =
           Alcotest.test_case "HList marked chain: one dup" `Quick
             test_hl_chain_one_dup;
         ] );
+      ( "marked-chain",
+        List.map
+          (fun s ->
+            let module S = (val s : Smr.Smr_intf.S) in
+            Alcotest.test_case
+              (Printf.sprintf "HList search through a chain (%s)" S.name)
+              `Quick (test_chain_search s))
+          Smr.Registry.all );
       ( "prev-reuse",
         per_scheme "prev reused mid-zone" test_prev_reused_mid_zone );
       ( "recovery",
