@@ -475,63 +475,50 @@ let smoke_preset kind ~full ~smoke name ~docv ~doc =
     $ given)
 
 let serve_cmd =
+  let module Sv = Scotstore.Serve in
+  let dc = Sv.default_cfg () in
   let smoke =
     smoke_arg
       "CI-sized soak: 2 shards x 2 workers, short duration, one \
        crashed worker, both dispatch modes."
   in
-  let backend =
-    Arg.(
-      value & opt string "hashmap"
-      & info [ "backend" ] ~docv:"NAME"
-          ~doc:"Shard backend: hashmap or skiplist.")
-  in
   let scheme =
+    let (module S : Smr.Smr_intf.S) = dc.sv_scheme in
     Arg.(
-      value & opt string "HLN"
+      value & opt string S.name
       & info [ "scheme" ] ~docv:"NAME"
           ~doc:
             (Printf.sprintf "SMR scheme for every shard (%s)." scheme_names))
   in
   let shards =
-    smoke_preset Arg.int ~full:4 ~smoke:2 "shards" ~docv:"N"
+    smoke_preset Arg.int ~full:dc.sv_shards ~smoke:2 "shards" ~docv:"N"
       ~doc:"Store shards (one SMR instance each)."
   in
   let workers =
-    smoke_preset Arg.int ~full:4 ~smoke:2 "workers" ~docv:"N"
+    smoke_preset Arg.int ~full:dc.sv_threads ~smoke:2 "workers" ~docv:"N"
       ~doc:"Client worker domains."
+  in
+  let range =
+    smoke_preset Arg.int ~full:dc.sv_range ~smoke:1024 "range" ~docv:"N"
+      ~doc:"Key range."
   in
   let batch =
     Arg.(
-      value & opt int 64
+      value & opt int dc.sv_batch_capacity
       & info [ "batch" ] ~docv:"N"
           ~doc:"Per-shard group size at which deferred requests auto-flush.")
   in
-  let buckets =
-    Arg.(
-      value & opt int 256
-      & info [ "buckets" ] ~docv:"N" ~doc:"Hash buckets per shard (hashmap).")
-  in
-  let skew =
-    Arg.(
-      value & opt string "zipf:0.99"
-      & info [ "skew" ] ~docv:"DIST"
-          ~doc:"Key distribution: uniform, zipf:THETA or hot:A/B.")
-  in
   let mix =
+    let m = dc.sv_mix in
     Arg.(
-      value & opt (t3 ~sep:'/' int int int) (50, 25, 25)
+      value
+      & opt (t3 ~sep:'/' int int int)
+          Harness.Workload.(m.read_pct, m.insert_pct, m.delete_pct)
       & info [ "mix" ] ~docv:"R/I/D" ~doc:"Percent gets/puts/deletes.")
-  in
-  let phases =
-    Arg.(
-      value & opt string ""
-      & info [ "phases" ] ~docv:"SPEC"
-          ~doc:"Time-varying mix schedule (see $(b,run) --phases).")
   in
   let crash =
     Arg.(
-      value & opt int 1
+      value & opt int dc.sv_crash
       & info [ "crash" ] ~docv:"K"
           ~doc:
             "Worker domains armed to crash mid-request; the supervisor \
@@ -539,13 +526,9 @@ let serve_cmd =
   in
   let ttl_pct =
     Arg.(
-      value & opt int 10
-      & info [ "ttl-pct" ] ~docv:"P" ~doc:"Percent of puts carrying a TTL.")
-  in
-  let ttl_s =
-    Arg.(
-      value & opt float 0.05
-      & info [ "ttl" ] ~docv:"SEC" ~doc:"TTL attached to those puts.")
+      value & opt int dc.sv_ttl_pct
+      & info [ "ttl-pct" ] ~docv:"P"
+          ~doc:"Percent of puts carrying a 0.05 s TTL.")
   in
   let mode =
     Arg.(
@@ -568,58 +551,33 @@ let serve_cmd =
     "Service-tier soak: sharded KV store under a skewed request stream, \
      batched vs per-op SMR bracket dispatch, supervised crash recovery"
     Term.(
-      const (fun duration repeats json smoke backend scheme shards workers
-                range batch buckets skew mix phases crash ttl_pct ttl_s mode
-                min_speedup ->
+      const (fun duration repeats json smoke scheme shards workers range
+                batch (r, i, d) crash ttl_pct mode min_speedup ->
           preflight_json json;
-          let backend =
-            lookup "serve" "backend" ~hint:" (hashmap or skiplist)"
-              Scotstore.Shard.backend_of_string backend
-          in
           let scheme = lookup "serve" "scheme" Smr.Registry.find scheme in
-          let skew = Harness.Workload.skew_of_string skew in
-          let r, i, d = mix in
-          let mix = Harness.Workload.mix ~read:r ~insert:i ~delete:d in
-          let phases =
-            if phases = "" then [] else Harness.Workload.phases_of_string phases
-          in
           let single =
             match String.lowercase_ascii mode with
             | "both" -> None
             | m ->
                 Some
                   (lookup "serve" "mode" ~hint:" (per-op, batched, both)"
-                     Scotstore.Serve.mode_of_string m)
-          in
-          let shards = shards smoke
-          and workers = workers smoke
-          and range = range smoke in
-          let duration =
-            Option.value duration
-              ~default:
-                (if smoke then 0.4
-                 else Harness.Experiments.default_cfg.duration)
+                     Sv.mode_of_string m)
           in
           let sc =
             {
-              (Scotstore.Serve.default_cfg ()) with
-              Scotstore.Serve.sv_backend = backend;
-              sv_scheme = scheme;
-              sv_shards = shards;
-              sv_threads = workers;
-              sv_range = range;
-              sv_duration = duration;
+              Sv.sv_scheme = scheme;
+              sv_shards = shards smoke;
+              sv_threads = workers smoke;
+              sv_range = range smoke;
+              sv_duration =
+                Option.value duration
+                  ~default:(if smoke then 0.4 else dc.sv_duration);
               sv_batch_capacity = batch;
-              sv_buckets = buckets;
-              sv_mix = mix;
-              sv_skew = skew;
-              sv_phases = phases;
+              sv_mix = Harness.Workload.mix ~read:r ~insert:i ~delete:d;
               sv_ttl_pct = ttl_pct;
-              sv_ttl_s = ttl_s;
               sv_crash = crash;
             }
           in
-          let module Sv = Scotstore.Serve in
           let repeats = max 1 repeats in
           (* With both modes, the [-r] repeats are interleaved pairs
              scored by [Experiments.paired_median]: the speedup is the
@@ -711,22 +669,16 @@ let serve_cmd =
                     min_speedup;
                 ]
             | _ -> []))
-      $ duration_arg ~absent:"2, or 0.4 with $(b,--smoke)"
-      $ repeats_arg $ json_arg $ smoke $ backend $ scheme $ shards $ workers
-      $ smoke_preset Arg.int ~full:16384 ~smoke:1024 "range" ~docv:"N"
-          ~doc:"Key range."
-      $ batch $ buckets $ skew $ mix $ phases $ crash $ ttl_pct $ ttl_s $ mode
-      $ min_speedup)
+      $ duration_arg
+          ~absent:(Printf.sprintf "%g, or 0.4 with $(b,--smoke)" dc.sv_duration)
+      $ repeats_arg $ json_arg $ smoke $ scheme $ shards $ workers $ range
+      $ batch $ mix $ crash $ ttl_pct $ mode $ min_speedup)
 
 let pressure_cmd =
+  let module Ov = Scotstore.Overload in
+  let dc = Ov.default_cfg () in
   let smoke =
     smoke_arg "CI-sized soak: 2 shards, 4 workers on 3 domains, short phases."
-  in
-  let backend =
-    Arg.(
-      value & opt string "hashmap"
-      & info [ "backend" ] ~docv:"NAME"
-          ~doc:"Shard backend: hashmap or skiplist.")
   in
   let scheme =
     Arg.(
@@ -737,40 +689,26 @@ let pressure_cmd =
              otherwise).  Default: the verdict panel — DBR, IBR \
              enforcing plus EBR as the monitor-only negative control.")
   in
-  let shards =
-    Arg.(
-      value & opt int 2
-      & info [ "shards" ] ~docv:"N" ~doc:"Store shards (one SMR instance each).")
-  in
   let workers =
-    smoke_preset Arg.int ~full:6 ~smoke:4 "workers" ~docv:"N"
+    smoke_preset Arg.int ~full:dc.pv_workers ~smoke:4 "workers" ~docv:"N"
       ~doc:"Worker domains (store clients)."
   in
   let domains =
-    smoke_preset Arg.int ~full:4 ~smoke:3 "domains" ~docv:"N"
+    smoke_preset Arg.int ~full:dc.pv_domains ~smoke:3 "domains" ~docv:"N"
       ~doc:
         "Runnable cores during the ramp: workers beyond this count are \
          parked mid-read (oversubscription)."
   in
   let readers =
-    smoke_preset Arg.int ~full:2 ~smoke:1 "readers" ~docv:"N"
+    smoke_preset Arg.int ~full:dc.pv_readers ~smoke:1 "readers" ~docv:"N"
       ~doc:"Dedicated reader tids scoring the read-liveness verdict."
   in
-  let budget =
-    Arg.(
-      value & opt int 0
-      & info [ "budget" ] ~docv:"N"
-          ~doc:
-            "Absolute per-shard pressure budget in nodes (0 = one \
-             thread's share of the reference no-stall ceiling).")
-  in
-  let deadline =
-    Arg.(
-      value & opt float 0.05
-      & info [ "deadline" ] ~docv:"SEC" ~doc:"Per-request write deadline.")
+  let range =
+    smoke_preset Arg.int ~full:dc.pv_range ~smoke:512 "range" ~docv:"N"
+      ~doc:"Key range."
   in
   let clean =
-    smoke_preset Arg.float ~full:0.4 ~smoke:0.2 "clean" ~docv:"SEC"
+    smoke_preset Arg.float ~full:dc.pv_clean_s ~smoke:0.2 "clean" ~docv:"SEC"
       ~doc:"Clean (baseline) phase duration."
   in
   (* The smoke ramp must be long enough for the monitor-only negative
@@ -778,25 +716,15 @@ let pressure_cmd =
      the writers' admitted retire rate, and the bound's dominant per-stall
      term is [range]. *)
   let ramp =
-    smoke_preset Arg.float ~full:0.8 ~smoke:0.5 "ramp" ~docv:"SEC"
+    smoke_preset Arg.float ~full:dc.pv_ramp_s ~smoke:0.5 "ramp" ~docv:"SEC"
       ~doc:"Ramp (stalled) phase duration."
   in
   (* Descent is hysteretic and one level at a time, and on an
      oversubscribed host the gauge carries OS-preemption noise: give the
      machines room to walk Degraded_all -> Healthy. *)
   let drain =
-    smoke_preset Arg.float ~full:0.6 ~smoke:0.5 "drain" ~docv:"SEC"
+    smoke_preset Arg.float ~full:dc.pv_drain_s ~smoke:0.5 "drain" ~docv:"SEC"
       ~doc:"Drain (recovery) phase duration."
-  in
-  let ttl_pct =
-    Arg.(
-      value & opt int 25
-      & info [ "ttl-pct" ] ~docv:"P" ~doc:"Percent of puts carrying a TTL.")
-  in
-  let ttl_s =
-    Arg.(
-      value & opt float 0.05
-      & info [ "ttl" ] ~docv:"SEC" ~doc:"TTL attached to those puts.")
   in
   cmd_of "pressure"
     "Overload soak: ramp a sharded store past its memory budget with \
@@ -804,14 +732,9 @@ let pressure_cmd =
      reads) and recovery from robust schemes — and demonstrable overflow \
      from the non-robust negative control"
     Term.(
-      const (fun json smoke backend scheme shards workers domains readers
-                range budget deadline clean ramp drain ttl_pct
-                ttl_s ->
+      const (fun json smoke scheme workers domains readers range clean ramp
+                drain ->
           preflight_json json;
-          let backend =
-            lookup "pressure" "backend" ~hint:" (hashmap or skiplist)"
-              Scotstore.Shard.backend_of_string backend
-          in
           (* The verdict panel: robust schemes must degrade gracefully
              and recover; EBR, not robust, runs monitor-only as the
              negative control (the store derives enforcement from the
@@ -824,58 +747,24 @@ let pressure_cmd =
               in
               [ S.name ]
           in
-          let workers = workers smoke
-          and domains = domains smoke
-          and readers = readers smoke
-          and range = range smoke
-          and clean = clean smoke
-          and ramp = ramp smoke
-          and drain = drain smoke in
           let run_one name =
-            let sm = Smr.Registry.find_exn name in
-            (* A neutralizing scheme (DBR) needs a wider neutralization
-               window here: the parked
-               extras sit at a read probe, so with the default
-               neutralize_after their announcements are delivered almost
-               immediately and the scheme never builds enough limbo to
-               exercise the state machine. *)
-            let config =
-              if (Smr.Registry.capabilities sm).Smr.Smr_intf.neutralizing
-              then
-                (* workers + 1: the store registers one extra client
-                   slot for the coordinator's synchronous sweeps. *)
-                Some
-                  (Smr.Smr_intf.make_config
-                     ~threads:(workers + 1)
-                     ~neutralize_after:64 ())
-              else None
-            in
             let pc =
               {
-                (Scotstore.Overload.default_cfg ()) with
-                Scotstore.Overload.pv_backend = backend;
-                pv_scheme = sm;
-                pv_shards = shards;
-                pv_workers = workers;
-                pv_domains = domains;
-                pv_readers = readers;
-                pv_range = range;
-                pv_clean_s = clean;
-                pv_ramp_s = ramp;
-                pv_drain_s = drain;
-                pv_config = config;
-                pv_budget = (if budget > 0 then Some budget else None);
-                pv_deadline_s = deadline;
-                pv_ttl_pct = ttl_pct;
-                pv_ttl_s = ttl_s;
+                Ov.pv_scheme = Smr.Registry.find_exn name;
+                pv_workers = workers smoke;
+                pv_domains = domains smoke;
+                pv_readers = readers smoke;
+                pv_range = range smoke;
+                pv_clean_s = clean smoke;
+                pv_ramp_s = ramp smoke;
+                pv_drain_s = drain smoke;
               }
             in
-            let (module S : Smr.Smr_intf.S) = sm in
-            (S.name, pc, Scotstore.Overload.run pc)
+            (name, pc, Ov.run pc)
           in
           let results = List.map run_one panel in
           List.iter
-            (fun (name, _, (r : Scotstore.Overload.result)) ->
+            (fun (name, _, (r : Ov.result)) ->
               Printf.printf
                 "pressure %-4s %-9s: parked=%d  max_unr=%d  stall_bound=%d  \
                  budget=%d  shed=%d  retries=%d  read_live=%.2f  \
@@ -889,20 +778,15 @@ let pressure_cmd =
                 r.r_recovered r.r_verdict)
             results;
           soak_tail "pressure" json
-            (List.map (fun (_, pc, r) -> Scotstore.Overload.result_json pc r)
-               results)
+            (List.map (fun (_, pc, r) -> Ov.result_json pc r) results)
             (List.filter_map
-               (fun (name, _, (r : Scotstore.Overload.result)) ->
+               (fun (name, _, (r : Ov.result)) ->
                  if r.r_ok then None
                  else
                    Some (Printf.sprintf "%s verdict failed: %s" name r.r_verdict))
                results))
-      $ json_arg $ smoke $ backend $ scheme $ shards $ workers
-      $ domains $ readers
-      $ smoke_preset Arg.int ~full:2048 ~smoke:512 "range" ~docv:"N"
-          ~doc:"Key range."
-      $ budget $ deadline $ clean $ ramp $ drain $ ttl_pct
-      $ ttl_s)
+      $ json_arg $ smoke $ scheme $ workers $ domains $ readers $ range $ clean
+      $ ramp $ drain)
 
 (* Not part of [all]: the panel scores the adaptive controller, not a
    figure of the paper.  Smoke runs exercise the controller and the BENCH

@@ -451,6 +451,8 @@ let matrix ~title ~header ~row ~threads_list schemes run =
 let chaos_matrix ?(structure = "HList") ?(threads_list = [ 2; 4 ])
     ?(stalled = 1) ?(point = "read") ?(range = 256) ?(duration = 1.0)
     ?(schemes = all_schemes) () =
+  (* Reject bad flags before the section header is printed. *)
+  if range <= 0 then invalid_arg "Experiments.chaos: range must be positive";
   matrix ~header:chaos_header ~row:chaos_row ~threads_list schemes
     ~title:
       (Printf.sprintf
@@ -992,6 +994,10 @@ let recover_row (c : recover_run) =
    worker mid-traversal under supervision. *)
 let recover_matrix ?(structure = "HList") ?(threads_list = [ 2; 4 ])
     ?(crashed = 1) ?(range = 256) ?(duration = 1.0) () =
+  (* Reject bad flags before the section header is printed. *)
+  if List.exists (fun threads -> crashed < 1 || crashed >= threads) threads_list
+  then invalid_arg "Experiments.recover: crashed must be in [1, threads)";
+  if range <= 0 then invalid_arg "Experiments.recover: range must be positive";
   let runs =
     matrix ~header:recover_header ~row:recover_row ~threads_list all_schemes
       ~title:

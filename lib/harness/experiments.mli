@@ -113,7 +113,9 @@ val chaos :
   chaos_run
 
 (** Every scheme at each thread count (default 2 and 4) with one stalled
-    participant; prints the verdict table and returns the runs. *)
+    participant; prints the verdict table and returns the runs.  Raises
+    [Invalid_argument] before printing anything when [range] is not
+    positive. *)
 val chaos_matrix :
   ?structure:string ->
   ?threads_list:int list ->
@@ -288,7 +290,9 @@ val recover :
   recover_run
 
 (** Every scheme at each thread count (default 2 and 4) with one crashed
-    worker; prints the verdict table and returns the runs. *)
+    worker; prints the verdict table and returns the runs.  Raises
+    [Invalid_argument] before printing anything unless [crashed] is in
+    [[1, threads)] for every thread count and [range] is positive. *)
 val recover_matrix :
   ?structure:string ->
   ?threads_list:int list ->

@@ -1,5 +1,5 @@
 (* The set interface every structure functor's output satisfies: the slice
-   the type-erased drivers ([Harness.Instance], [Scotstore.Shard]) need.
+   the type-erased benchmark driver ([Harness.Instance]) needs.
    Construction stays per structure ([create] arguments differ). *)
 
 module type S = sig
@@ -18,11 +18,4 @@ module type S = sig
   val restarts : t -> int
   val size : t -> int
   val check_invariants : t -> unit
-end
-
-(** Structures that run a request group under one bracket. *)
-module type BATCHED = sig
-  include S
-
-  val apply_batch : handle -> Batch_op.buf -> unit
 end

@@ -155,16 +155,6 @@ module Make (S : Smr.Smr_intf.S) = struct
     level_expected : link array;
     level_pred : node option array;
     level_curr : node option array;
-    (* [apply_batch]'s same-key coalescing memo (see Hashmap): key and
-       membership of the latest op of the current dispatch; only a
-       contiguous same-key run coalesces. *)
-    mutable last_key : int;
-    mutable last_mem : bool;
-    mutable last_valid : bool;
-    (* [apply_batch]'s resume cursor: index of the first request not yet
-       dispatched.  Survives a bracket restart after a neutralization so
-       already-linearized requests are not re-executed. *)
-    mutable batch_pos : int;
   }
 
   (* [optimistic:false] gives the Herlihy-Shavit-style baseline: searches
@@ -195,10 +185,6 @@ module Make (S : Smr.Smr_intf.S) = struct
       level_expected = Array.make max_height null_link;
       level_pred = Array.make max_height None;
       level_curr = Array.make max_height None;
-      last_key = 0;
-      last_mem = false;
-      last_valid = false;
-      batch_pos = 0;
     }
 
   (* Geometric tower height (p = 1/2), capped at [max_height]; xorshift on
@@ -508,67 +494,6 @@ module Make (S : Smr.Smr_intf.S) = struct
   let delete h key =
     check_key key;
     S.with_op2 h.s delete_body h key
-
-  (* Single-bracket batch dispatch (see Hashmap.apply_batch): every
-     request in the buffer runs under one [start_op]/[end_op], each
-     reusing the traversal scratch and hazard slots of the previous one
-     exactly as back-to-back brackets would.  Same-key repeats coalesce
-     exactly as in the hashmap — CONTIGUOUS runs only: a repeat directly
-     following its predecessor may linearize immediately after it, so a
-     get reports the memoised membership and redundant put/delete
-     repeats are failed no-ops, while any physical op on a different
-     key invalidates the memo (its result can pin external operations
-     between predecessor and repeat; see the hashmap's comment). *)
-  let apply_batch_body =
-    {
-      Smr.Smr_intf.op2 =
-        (fun tok h (b : Batch_op.buf) ->
-          (* On a neutralization restart, resume at [h.batch_pos]: requests
-             before it already linearized and stored their results.  The
-             coalescing memo is dropped (it is only a shortcut; the aborted
-             attempt linearized nothing, so correctness is unaffected). *)
-          h.last_valid <- false;
-          let start = h.batch_pos in
-          for i = start to b.Batch_op.n - 1 do
-            let key = b.Batch_op.keys.(i) in
-            let kind = b.Batch_op.kinds.(i) in
-            let known = h.last_valid && h.last_key = key in
-            if
-              known
-              && (if kind = Batch_op.get then true
-                  else if kind = Batch_op.put then h.last_mem
-                  else not h.last_mem)
-            then
-              b.Batch_op.results.(i) <-
-                (if kind = Batch_op.get then h.last_mem else false)
-            else begin
-              let r =
-                if kind = Batch_op.get then
-                  search_body.Smr.Smr_intf.op2 tok h key
-                else if kind = Batch_op.put then
-                  insert_body.Smr.Smr_intf.op2 tok h key
-                else delete_body.Smr.Smr_intf.op2 tok h key
-              in
-              b.Batch_op.results.(i) <- r;
-              h.last_key <- key;
-              h.last_mem <-
-                (if kind = Batch_op.get then r else kind = Batch_op.put);
-              h.last_valid <- true
-            end;
-            h.batch_pos <- i + 1
-          done;
-          h.last_valid <- false);
-    }
-
-  let apply_batch h (b : Batch_op.buf) =
-    (* Validate before entering the bracket: a raise inside it skips
-       [end_op] by design. *)
-    for i = 0 to b.Batch_op.n - 1 do
-      if b.Batch_op.keys.(i) >= max_int then
-        invalid_arg "Skiplist.apply_batch: key must be < max_int"
-    done;
-    h.batch_pos <- 0;
-    if b.Batch_op.n > 0 then S.with_op2 h.s apply_batch_body h b
 
   let quiesce h = S.flush h.s
 

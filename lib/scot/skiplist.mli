@@ -34,15 +34,6 @@ module Make (S : Smr.Smr_intf.S) : sig
   val search : handle -> int -> bool
   (** Read-only optimistic traversal at every level. *)
 
-  val apply_batch : handle -> Batch_op.buf -> unit
-  (** Execute every pending request in the buffer under a {e single}
-      [start_op]/[end_op] bracket, writing each result into [results] —
-      one reservation publish per group instead of per op, with
-      contiguous same-key repeats coalesced (see
-      {!Hashmap.Make.apply_batch}).
-      Requests run sequentially in buffer order; the buffer is left
-      intact (caller calls {!Batch_op.clear}). *)
-
   val quiesce : handle -> unit
 
   val recover : handle -> handle

@@ -14,9 +14,7 @@
 open Harness
 
 type cfg = {
-  pv_backend : Shard.backend;
   pv_scheme : Smr.Registry.scheme;
-  pv_shards : int;
   pv_workers : int;  (* worker domains = store clients *)
   pv_domains : int;  (* runnable during ramp; extras park *)
   pv_readers : int;  (* dedicated reader tids [0, readers) *)
@@ -24,19 +22,11 @@ type cfg = {
   pv_clean_s : float;
   pv_ramp_s : float;
   pv_drain_s : float;
-  pv_config : Smr.Smr_intf.config option;
-  pv_budget : int option;  (* absolute per-shard budget *)
-  pv_deadline_s : float;
-  pv_ttl_pct : int;  (* % of puts carrying a TTL *)
-  pv_ttl_s : float;
-  pv_seed : int;
 }
 
 let default_cfg () =
   {
-    pv_backend = Shard.Hashmap;
     pv_scheme = Smr.Registry.find_exn "IBR";
-    pv_shards = 2;
     pv_workers = 6;
     pv_domains = 4;
     pv_readers = 2;
@@ -44,13 +34,14 @@ let default_cfg () =
     pv_clean_s = 0.4;
     pv_ramp_s = 0.8;
     pv_drain_s = 0.6;
-    pv_config = None;
-    pv_budget = None;
-    pv_deadline_s = 0.05;
-    pv_ttl_pct = 25;
-    pv_ttl_s = 0.05;
-    pv_seed = 0xC0FFEE;
   }
+
+(* The fixed shape of every pressure run. *)
+let shards = 2
+let deadline_s = 0.05 (* per-request write deadline *)
+let ttl_pct = 25 (* % of puts carrying a TTL *)
+let ttl_s = 0.05
+let seed = 0xC0FFEE
 
 type result = {
   r_enforce : bool;
@@ -98,18 +89,27 @@ let run cfg =
        domains)";
   if cfg.pv_clean_s <= 0.0 || cfg.pv_ramp_s <= 0.0 || cfg.pv_drain_s <= 0.0 then
     invalid_arg "Overload.run: phase durations must be positive";
-  if cfg.pv_ttl_pct < 0 || cfg.pv_ttl_pct > 100 then
-    invalid_arg "Overload.run: ttl_pct must be in [0, 100]";
   (* One extra client slot past the workers: the coordinator owns it and
      uses it for the synchronous sweeps [observe_pressure] runs on
      pressured shards (worker handles are single-owner, so the
      coordinator must never touch them). *)
   let sweeper = cfg.pv_workers in
+  (* A neutralizing scheme (DBR) needs a wider neutralization window
+     here: the parked extras sit at a read probe, so with the default
+     [neutralize_after] their announcements are delivered almost
+     immediately and the scheme never builds enough limbo to exercise
+     the state machine. *)
+  let config =
+    if (Smr.Registry.capabilities cfg.pv_scheme).Smr.Smr_intf.neutralizing
+    then
+      Some
+        (Smr.Smr_intf.make_config ~threads:(sweeper + 1) ~neutralize_after:64
+           ())
+    else None
+  in
   let store =
-    Store.create ?config:cfg.pv_config ~buckets:256 ~batch_capacity
-      ~backend:cfg.pv_backend
-      ~scheme:cfg.pv_scheme ~shards:cfg.pv_shards
-      ~threads:(cfg.pv_workers + 1) ()
+    Store.create ?config ~batch_capacity ~backend:Shard.Hashmap
+      ~scheme:cfg.pv_scheme ~shards ~threads:(sweeper + 1) ()
   in
   let stats = Store.stats store in
   (* The store sheds only if the scheme is robust (see
@@ -117,7 +117,7 @@ let run cfg =
      value. *)
   let enforce = Store.robust store in
   (* Arm the pressure state machines.  The budget is the operator's
-     knob, so it must NOT depend on the scheme under test (DBR's own
+     envelope, so it must NOT depend on the scheme under test (DBR's own
      ceiling carries huge neutralization-latency terms that would hand
      it a 10x looser budget than IBR's on the same hardware): every
      scheme is budgeted against what the reference robust scheme (IBR)
@@ -131,19 +131,16 @@ let run cfg =
      lifts the ramp's gauge through the share into Degraded. *)
   let ibr = Smr.Registry.find_exn "IBR" in
   let budgets =
-    Array.init cfg.pv_shards (fun s ->
+    Array.init shards (fun s ->
         let sh = Store.shard store s in
-        match cfg.pv_budget with
-        | Some b -> b
-        | None ->
-            (* IBR is robust, so its bound is always [Some]. *)
-            let ref_b =
-              Option.get
-                (Chaos.mem_bound ibr ~config:sh.Shard.config
-                   ~threads:sh.Shard.threads ~slots:sh.Shard.slots
-                   ~range:cfg.pv_range ~stalled:0 ())
-            in
-            max 1 (ref_b / sh.Shard.threads))
+        (* IBR is robust, so its bound is always [Some]. *)
+        let ref_b =
+          Option.get
+            (Chaos.mem_bound ibr ~config:sh.Shard.config
+               ~threads:sh.Shard.threads ~slots:sh.Shard.slots
+               ~range:cfg.pv_range ~stalled:0 ())
+        in
+        max 1 (ref_b / sh.Shard.threads))
   in
   (* quiesce_samples 2 (default 3): on oversubscribed hosts the raw
      gauge carries OS-preemption pinning spikes (a writer preempted
@@ -158,7 +155,7 @@ let run cfg =
   (* [pv_workers + 1] quiesced tids: the coordinator's sweeper slot too. *)
   let target =
     Serve.soak_target store ~threads:(cfg.pv_workers + 1) ~range:cfg.pv_range
-      ~seed:cfg.pv_seed
+      ~seed
   in
   (* Installed for the whole run, not only from the ramp on, so the clean
      baseline pays the same probe cost as the degraded window it scores. *)
@@ -175,7 +172,7 @@ let run cfg =
   let reader_loop (w : Soak.worker) =
     let tid = w.tid and stop = w.stop and phase = w.phase in
     let extra = tid >= cfg.pv_domains in
-    let rng = Workload.Rng.create ~seed:(cfg.pv_seed + (31 * (tid + 1))) in
+    let rng = Workload.Rng.create ~seed:(seed + (31 * (tid + 1))) in
     let sampler = Workload.sampler Workload.Uniform ~range:cfg.pv_range in
     let client = Store.client store ~tid in
     (* Extras retire from service at drain entry: they are ramp
@@ -194,7 +191,7 @@ let run cfg =
   in
   let writer_loop (w : Soak.worker) =
     let tid = w.tid and stop = w.stop in
-    let rng = Workload.Rng.create ~seed:(cfg.pv_seed + (31 * (tid + 1))) in
+    let rng = Workload.Rng.create ~seed:(seed + (31 * (tid + 1))) in
     let sampler = Workload.sampler Workload.Uniform ~range:cfg.pv_range in
     (* The client's default clock is [Clock.now], so the store's deadline
        check and [Backoff] read the same monotonic time. *)
@@ -205,12 +202,11 @@ let run cfg =
         let is_put = Workload.Rng.int rng 2 = 0 in
         let ttl_s =
           if
-            is_put && cfg.pv_ttl_pct > 0
-            && Workload.Rng.int rng 100 < cfg.pv_ttl_pct
-          then Some cfg.pv_ttl_s
+            is_put && Workload.Rng.int rng 100 < ttl_pct
+          then Some ttl_s
           else None
         in
-        let dl = Clock.now () +. cfg.pv_deadline_s in
+        let dl = Clock.now () +. deadline_s in
         let attempt () : unit Backoff.outcome =
           match
             if is_put then Store.enqueue_put ?ttl_s ~deadline:dl client key
@@ -247,7 +243,7 @@ let run cfg =
      writes admitted again under continuing load — is the property the
      run scores here; memory recovery is scored separately by the
      deterministic post-quiesce bound check. *)
-  let recovered_seen = Array.make cfg.pv_shards false in
+  let recovered_seen = Array.make shards false in
   (* The worst shard level observed while the ramp phase ran: the
      degradation verdict scores the window the parked extras pin, not a
      clean-phase preemption spike. *)
@@ -281,7 +277,7 @@ let run cfg =
     end;
     ignore
       (Store.observe_pressure ~sweep_tid:sweeper store ~now:(Soak.now ctl));
-    for s = 0 to cfg.pv_shards - 1 do
+    for s = 0 to shards - 1 do
       let level = Store.shard_level store s in
       let rank = Pressure.level_rank level in
       match Soak.phase ctl with
@@ -311,13 +307,13 @@ let run cfg =
   in
   let bound = Store.mem_bound store ~range:cfg.pv_range ~stalled:k () in
   let rank = Pressure.level_rank in
-  let shards = List.init cfg.pv_shards Fun.id in
+  let shard_ids = List.init shards Fun.id in
   let recovered =
     List.for_all
       (fun s ->
         recovered_seen.(s)
         || rank (Store.shard_level store s) < rank Pressure.Degraded_ttl)
-      shards
+      shard_ids
   in
   let max_level =
     List.fold_left
@@ -326,11 +322,11 @@ let run cfg =
         | Some p when rank (Pressure.max_level p) > rank worst ->
             Pressure.max_level p
         | _ -> worst)
-      Pressure.Healthy shards
+      Pressure.Healthy shard_ids
   in
   let transitions =
     List.concat
-      (List.init cfg.pv_shards (fun s ->
+      (List.init shards (fun s ->
            match Store.pressure store s with
            | Some p -> List.map (fun tr -> (s, tr)) (Pressure.transitions p)
            | None -> []))
@@ -435,7 +431,7 @@ let result_json cfg (r : result) =
   Obj
     [
       ("kind", String "pressure");
-      ("backend", String (Shard.backend_name cfg.pv_backend));
+      ("backend", String (Shard.backend_name Shard.Hashmap));
       ( "scheme",
         let (module S : Smr.Smr_intf.S) = cfg.pv_scheme in
         String S.name );
@@ -443,7 +439,7 @@ let result_json cfg (r : result) =
         let (module S : Smr.Smr_intf.S) = cfg.pv_scheme in
         Bool S.capabilities.robust );
       ("enforce", Bool r.r_enforce);
-      ("shards", Int cfg.pv_shards);
+      ("shards", Int shards);
       ("workers", Int cfg.pv_workers);
       ("domains", Int cfg.pv_domains);
       ("parked", Int r.r_parked);
@@ -453,7 +449,7 @@ let result_json cfg (r : result) =
       ("clean_s", Float cfg.pv_clean_s);
       ("ramp_s", Float cfg.pv_ramp_s);
       ("drain_s", Float cfg.pv_drain_s);
-      ("deadline_s", Float cfg.pv_deadline_s);
+      ("deadline_s", Float deadline_s);
       ("budget", Int r.r_budget);
       ("bound", match r.r_bound with Some b -> Int b | None -> Null);
       ("stall_bound", Int r.r_stall_bound);

@@ -23,9 +23,7 @@
     still draining to the no-stall ceiling once the stall clears. *)
 
 type cfg = {
-  pv_backend : Shard.backend;
   pv_scheme : Smr.Registry.scheme;
-  pv_shards : int;
   pv_workers : int;  (** worker domains = store clients *)
   pv_domains : int;
       (** runnable during ramp; tids [pv_domains, pv_workers) park *)
@@ -34,23 +32,19 @@ type cfg = {
   pv_clean_s : float;
   pv_ramp_s : float;
   pv_drain_s : float;  (** all three must be positive *)
-  pv_config : Smr.Smr_intf.config option;
-  pv_budget : int option;
-      (** absolute per-shard pressure budget; default: one thread's
-          share of the no-stall ceiling the {e reference} robust scheme
-          (IBR) promises at this shard's config — deliberately
-          independent of the scheme under test, so every panel member is
-          held to the same operator envelope *)
-  pv_deadline_s : float;  (** per-request write deadline *)
-  pv_ttl_pct : int;  (** % of puts carrying a TTL *)
-  pv_ttl_s : float;
-  pv_seed : int;
 }
+(** Every run uses 2 hashmap shards, a 0.05 s per-request write
+    deadline, a 0.05 s TTL on 25% of puts and one fixed seed.  Each
+    shard's pressure budget is one thread's share of the no-stall
+    ceiling the {e reference} robust scheme (IBR) promises at the
+    shard's config — independent of the scheme under test, so every
+    panel member is held to the same operator envelope.  A neutralizing
+    scheme (DBR) runs with [neutralize_after:64], so that the parked
+    extras pin enough limbo to drive the pressure machines. *)
 
 val default_cfg : unit -> cfg
-(** IBR over a hashmap, 2 shards, 6 workers on 4 domains (2 dedicated
-    readers, 2 writers, 2 parking extras), 0.4/0.8/0.6 s phases,
-    budget = one thread's share of the IBR no-stall reference ceiling. *)
+(** IBR, 6 workers on 4 domains (2 dedicated readers, 2 writers, 2
+    parking extras), range 2048, 0.4/0.8/0.6 s phases. *)
 
 type result = {
   r_enforce : bool;  (** the store shed writes: the scheme is robust *)
@@ -98,8 +92,8 @@ type result = {
 
 val run : cfg -> result
 (** One soak.  [Invalid_argument] unless
-    [1 <= readers < domains < workers], every phase duration is
-    positive and [ttl_pct] is a percentage. *)
+    [1 <= readers < domains < workers] and every phase duration is
+    positive. *)
 
 val result_json : cfg -> result -> Harness.Json.t
 (** One schema-v1 ["kind": "pressure"] run row. *)

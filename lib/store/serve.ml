@@ -25,41 +25,35 @@ let mode_of_string s =
   | _ -> None
 
 type cfg = {
-  sv_backend : Shard.backend;
   sv_scheme : Smr.Registry.scheme;
   sv_shards : int;
   sv_threads : int;
   sv_range : int;
   sv_duration : float;
   sv_batch_capacity : int;
-  sv_buckets : int;
   sv_mix : Workload.mix;
-  sv_skew : Workload.skew;
-  sv_phases : Workload.phase list;
-  sv_seed : int;
   sv_ttl_pct : int;  (* % of puts carrying a TTL *)
-  sv_ttl_s : float;
   sv_crash : int;  (* top worker tids armed to crash mid-run *)
 }
 
 let default_cfg () =
   {
-    sv_backend = Shard.Hashmap;
     sv_scheme = Smr.Registry.find_exn "HLN";
     sv_shards = 4;
     sv_threads = 4;
     sv_range = 16384;
-    sv_duration = 1.0;
+    sv_duration = 2.0;
     sv_batch_capacity = 64;
-    sv_buckets = 256;
     sv_mix = Workload.read_write_50;
-    sv_skew = Workload.Zipf 0.99;
-    sv_phases = [];
-    sv_seed = 0xC0FFEE;
-    sv_ttl_pct = 0;
-    sv_ttl_s = 0.05;
-    sv_crash = 0;
+    sv_ttl_pct = 10;
+    sv_crash = 1;
   }
+
+(* The fixed shape of every serve run: a skewed key stream, one TTL, one
+   seed. *)
+let skew = Workload.Zipf 0.99
+let ttl_s = 0.05
+let seed = 0xC0FFEE
 
 type shard_row = {
   sr_shard : int;
@@ -110,22 +104,15 @@ let run cfg mode =
   if cfg.sv_ttl_pct < 0 || cfg.sv_ttl_pct > 100 then
     invalid_arg "Serve.run: ttl_pct must be in [0, 100]";
   let store =
-    Store.create ~buckets:cfg.sv_buckets
-      ~batch_capacity:cfg.sv_batch_capacity ~backend:cfg.sv_backend
+    Store.create ~batch_capacity:cfg.sv_batch_capacity ~backend:Shard.Hashmap
       ~scheme:cfg.sv_scheme ~shards:cfg.sv_shards ~threads:cfg.sv_threads ()
   in
-  (* Phases as in Runner; the hoisted mix array is indexed unsafely in the
-     hot loop rather than calling across the module boundary per request. *)
-  let sched = Workload.schedule ~fallback:cfg.sv_mix cfg.sv_phases in
-  let mixes =
-    Array.init (Workload.phase_count sched) (Workload.phase_mix sched)
-  in
+  let mix = cfg.sv_mix in
   let recorders =
     Array.init cfg.sv_threads (fun _ -> Metrics.create_recorder ())
   in
   let target =
-    soak_target store ~threads:cfg.sv_threads ~range:cfg.sv_range
-      ~seed:cfg.sv_seed
+    soak_target store ~threads:cfg.sv_threads ~range:cfg.sv_range ~seed
   in
   let victims = List.init cfg.sv_crash (fun i -> cfg.sv_threads - 1 - i) in
   List.iteri
@@ -137,10 +124,10 @@ let run cfg mode =
         Chaos.Crash)
     victims;
   let body (w : Soak.worker) =
-    let tid = w.tid and stop = w.stop and phase = w.phase in
+    let tid = w.tid and stop = w.stop in
     let beat = w.beat and count = w.ops in
-    let rng = Workload.Rng.create ~seed:(cfg.sv_seed + (31 * (tid + 1))) in
-    let sampler = Workload.sampler cfg.sv_skew ~range:cfg.sv_range in
+    let rng = Workload.Rng.create ~seed:(seed + (31 * (tid + 1))) in
+    let sampler = Workload.sampler skew ~range:cfg.sv_range in
     let recorder = recorders.(tid) in
     let on_result ~kind ~key:_ ~hit =
       let k =
@@ -159,12 +146,10 @@ let run cfg mode =
     let client = Store.client ~on_result store ~tid in
     let ttl () =
       if cfg.sv_ttl_pct > 0 && Workload.Rng.int rng 100 < cfg.sv_ttl_pct then
-        Some cfg.sv_ttl_s
+        Some ttl_s
       else None
     in
-    let next_op () =
-      Workload.op_for rng (Array.unsafe_get mixes (Atomic.get phase))
-    in
+    let next_op () = Workload.op_for rng mix in
     fun () ->
       match mode with
       | Per_op ->
@@ -193,7 +178,7 @@ let run cfg mode =
           Store.flush client
   in
   let o =
-    Soak.run ~schedule:sched ~supervise:Supervisor.default target
+    Soak.run ~supervise:Supervisor.default target
       ~workers:cfg.sv_threads ~duration:cfg.sv_duration body
   in
   let elapsed = o.elapsed in
@@ -288,7 +273,7 @@ let result_json ?speedup cfg (r : result) =
     ([
        ("kind", String "serve");
        ("mode", String (mode_name r.r_mode));
-       ("backend", String (Shard.backend_name cfg.sv_backend));
+       ("backend", String (Shard.backend_name Shard.Hashmap));
        ( "scheme",
          let (module S : Smr.Smr_intf.S) = cfg.sv_scheme in
          String S.name );
@@ -296,7 +281,7 @@ let result_json ?speedup cfg (r : result) =
        ("threads", Int cfg.sv_threads);
        ("range", Int cfg.sv_range);
        ("batch_capacity", Int cfg.sv_batch_capacity);
-       ("skew", String (Workload.skew_to_string cfg.sv_skew));
+       ("skew", String (Workload.skew_to_string skew));
        ("mix", Report.mix_json cfg.sv_mix);
        ("duration", Float r.r_duration);
        ("ops", Int r.r_ops);

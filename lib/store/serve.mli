@@ -14,28 +14,25 @@ val mode_name : mode -> string
 val mode_of_string : string -> mode option
 
 type cfg = {
-  sv_backend : Shard.backend;
   sv_scheme : Smr.Registry.scheme;
   sv_shards : int;
   sv_threads : int;  (** worker domains = store clients *)
   sv_range : int;
   sv_duration : float;
   sv_batch_capacity : int;
-  sv_buckets : int;
   sv_mix : Harness.Workload.mix;
-  sv_skew : Harness.Workload.skew;
-  sv_phases : Harness.Workload.phase list;
-  sv_seed : int;
-  sv_ttl_pct : int;  (** % of puts carrying a TTL *)
-  sv_ttl_s : float;
+  sv_ttl_pct : int;  (** % of puts carrying a 0.05 s TTL *)
   sv_crash : int;
       (** top worker tids armed to crash at a protected-load probe
           mid-run; the supervisor recovers and respawns them *)
 }
+(** Every run draws keys from zipf:0.99 over [sv_range] with one fixed
+    seed, and serves them from 256-bucket hashmap shards. *)
 
 val default_cfg : unit -> cfg
-(** HLN over a 256-bucket hashmap backend, 4 shards x 4 threads,
-    zipf:0.99, 1 s — the acceptance shape. *)
+(** HLN, 4 shards x 4 threads, range 16384, 50/25/25, batches of 64,
+    10% of puts with a TTL, one crashed worker, 2 s — the acceptance
+    shape, and [scotbench serve]'s defaults. *)
 
 type shard_row = {
   sr_shard : int;

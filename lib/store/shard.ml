@@ -1,7 +1,6 @@
-(* One store shard: a batched set ([Scot.Set_intf.BATCHED]) plus its own
-   SMR instance and a pre-registered handle per client thread, erased by
-   [of_set] so the store front end and the serve runner work over any
-   (backend x scheme) pair.
+(* One store shard: a SCOT hash map plus its own SMR instance and a
+   pre-registered handle per client thread, erased into closures so the
+   store front end and the serve runner work over any scheme.
 
    Every shard owns a private SMR instance: reclamation pressure on one
    shard never forces scans of another shard's hazard slots, and a
@@ -9,18 +8,11 @@
    one registration per client thread, so the single-bracket batch
    dispatch covers every bucket. *)
 
-type backend = Hashmap | Skiplist
+type backend = Hashmap
 
-let backend_name = function Hashmap -> "HashMap" | Skiplist -> "SkipList"
-
-let backend_of_string s =
-  match String.lowercase_ascii s with
-  | "hashmap" -> Some Hashmap
-  | "skiplist" -> Some Skiplist
-  | _ -> None
+let backend_name Hashmap = "HashMap"
 
 type t = {
-  backend : backend;
   scheme : string;
   scheme_mod : Smr.Registry.scheme;
   config : Smr.Smr_intf.config;
@@ -41,51 +33,37 @@ type t = {
   capabilities : Smr.Smr_intf.capabilities;
 }
 
-let of_set (type s l) ~backend ~config ~threads ~slots
-    (module S : Smr.Smr_intf.S with type t = s) (smr : s)
-    (module B : Scot.Set_intf.BATCHED with type t = l) (set : l) =
-  let handles = Array.init threads (fun tid -> B.handle set ~tid) in
-  {
-    backend;
-    scheme = S.name;
-    scheme_mod = (module S : Smr.Smr_intf.S);
-    config;
-    threads;
-    slots;
-    search = (fun ~tid k -> B.search handles.(tid) k);
-    insert = (fun ~tid k -> B.insert handles.(tid) k);
-    delete = (fun ~tid k -> B.delete handles.(tid) k);
-    apply_batch = (fun ~tid b -> B.apply_batch handles.(tid) b);
-    quiesce = (fun ~tid -> B.quiesce handles.(tid));
-    teardown = (fun () -> Array.iter B.quiesce handles);
-    unreclaimed = (fun () -> S.unreclaimed smr);
-    scheme_stats = (fun () -> S.stats smr);
-    size = (fun () -> B.size set);
-    check_invariants = (fun () -> B.check_invariants set);
-    recover = (fun ~tid -> handles.(tid) <- B.recover handles.(tid));
-    capabilities = S.capabilities;
-  }
-
-let create ?config ?(buckets = 256) ~backend ~scheme ~threads () =
+let create ?config ?(buckets = 256) ~scheme ~threads () =
   let (module S : Smr.Smr_intf.S) = scheme in
   let config =
     match config with
     | Some c -> c
     | None -> Smr.Smr_intf.default_config ~threads
   in
-  match backend with
-  | Hashmap ->
-      let module M = Scot.Hashmap.Make (S) in
-      let slots = Scot.Hashmap.slots_needed in
-      let smr = S.create ~config ~threads ~slots () in
-      of_set ~backend ~config ~threads ~slots (module S) smr (module M)
-        (M.create ~buckets ~smr ~threads ())
-  | Skiplist ->
-      let module SL = Scot.Skiplist.Make (S) in
-      let slots = Scot.Skiplist.slots_needed in
-      let smr = S.create ~config ~threads ~slots () in
-      of_set ~backend ~config ~threads ~slots (module S) smr (module SL)
-        (SL.create ~smr ~threads ())
+  let module M = Scot.Hashmap.Make (S) in
+  let slots = Scot.Hashmap.slots_needed in
+  let smr = S.create ~config ~threads ~slots () in
+  let set = M.create ~buckets ~smr ~threads () in
+  let handles = Array.init threads (fun tid -> M.handle set ~tid) in
+  {
+    scheme = S.name;
+    scheme_mod = scheme;
+    config;
+    threads;
+    slots;
+    search = (fun ~tid k -> M.search handles.(tid) k);
+    insert = (fun ~tid k -> M.insert handles.(tid) k);
+    delete = (fun ~tid k -> M.delete handles.(tid) k);
+    apply_batch = (fun ~tid b -> M.apply_batch handles.(tid) b);
+    quiesce = (fun ~tid -> M.quiesce handles.(tid));
+    teardown = (fun () -> Array.iter M.quiesce handles);
+    unreclaimed = (fun () -> S.unreclaimed smr);
+    scheme_stats = (fun () -> S.stats smr);
+    size = (fun () -> M.size set);
+    check_invariants = (fun () -> M.check_invariants set);
+    recover = (fun ~tid -> handles.(tid) <- M.recover handles.(tid));
+    capabilities = S.capabilities;
+  }
 
 (* Memory ceiling for the soak verdict: delegate to the chaos bound with
    this shard's own scheme/config/slots.  [None] for non-robust schemes. *)

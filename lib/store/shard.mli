@@ -1,22 +1,19 @@
-(** One store shard: a batched set ({!Scot.Set_intf.BATCHED}) with its
-    {e own} SMR instance and one pre-registered handle per client thread,
-    erased into closures the way {!Harness.Instance.t} erases benchmark
+(** One store shard: a SCOT hash map ({!Scot.Hashmap}) with its {e own}
+    SMR instance and one pre-registered handle per client thread, erased
+    into closures the way {!Harness.Instance.t} erases benchmark
     structures.
 
     All bucket handles share one registration per client thread, so
     {!t.apply_batch} runs a whole request group under one bracket — see
     {!Scot.Hashmap.Make.apply_batch}. *)
 
-type backend = Hashmap | Skiplist
+type backend = Hashmap
+(** The store's one backend, the argument of {!Store.create}. *)
 
 val backend_name : backend -> string
-(** ["HashMap"] / ["SkipList"] — matches the harness structure names. *)
-
-val backend_of_string : string -> backend option
-(** Case-insensitive. *)
+(** ["HashMap"] — matches the harness structure name. *)
 
 type t = {
-  backend : backend;
   scheme : string;
   scheme_mod : Smr.Registry.scheme;
   config : Smr.Smr_intf.config;
@@ -45,12 +42,11 @@ type t = {
 val create :
   ?config:Smr.Smr_intf.config ->
   ?buckets:int ->
-  backend:backend ->
   scheme:Smr.Registry.scheme ->
   threads:int ->
   unit ->
   t
-(** [buckets] (default 256, hashmap only) is deliberately larger than the
+(** [buckets] (default 256) is deliberately larger than the
     benchmark default: the service tier wants short chains so bracket
     entry, not traversal, dominates per-request cost.  [config] defaults
     to {!Smr.Smr_intf.default_config}. *)

@@ -52,8 +52,8 @@ type client = {
 
 let sweep_period = 64
 
-let create ?config ?buckets ?(batch_capacity = 64) ~backend ~scheme ~shards
-    ~threads () =
+let create ?config ?buckets ?(batch_capacity = 64) ~backend:Shard.Hashmap
+    ~scheme ~shards ~threads () =
   if shards <= 0 then invalid_arg "Store.create: shards must be positive";
   if threads <= 0 then invalid_arg "Store.create: threads must be positive";
   if batch_capacity <= 0 then
@@ -61,7 +61,7 @@ let create ?config ?buckets ?(batch_capacity = 64) ~backend ~scheme ~shards
   {
     shard_arr =
       Array.init shards (fun _ ->
-          Shard.create ?config ?buckets ~backend ~scheme ~threads ());
+          Shard.create ?config ?buckets ~scheme ~threads ());
     router = Router.create ~shards;
     threads;
     batch_capacity;

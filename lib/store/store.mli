@@ -47,7 +47,8 @@ val create :
   unit ->
   t
 (** [batch_capacity] (default 64) is the per-shard group size at which a
-    client's deferred requests auto-flush. *)
+    client's deferred requests auto-flush.  [backend] has one value,
+    {!Shard.Hashmap}. *)
 
 val client :
   ?now:(unit -> float) ->

@@ -120,6 +120,7 @@ let test_serve_uaf_fails () =
       sv_shards = 2;
       sv_range = 512;
       sv_duration = 0.2;
+      sv_crash = 0;
     }
   in
   let r =

@@ -122,24 +122,73 @@ let test_fig2_scot_validation_detects () =
 
 let range = 16
 
-let run_unsafe name ~seconds ~check =
+let mix = Harness.Workload.mix ~read:20 ~insert:40 ~delete:40
+
+let run_unsafe name ~seconds =
   Harness.Runner.run
     ~builder:(Harness.Instance.find_builder_exn "HListUnsafe")
-    ~scheme:(Smr.Registry.find_exn name) ~threads:8 ~range
-    ~mix:(Harness.Workload.mix ~read:20 ~insert:40 ~delete:40)
-    ~duration:seconds ~config:aggressive ~check ()
+    ~scheme:(Smr.Registry.find_exn name) ~threads:8 ~range ~mix
+    ~duration:seconds ~config:aggressive ~check:true ()
+
+(* The poison check's message ([Memory.Hdr.check]).  The unchecked list
+   also raises [Use_after_free] on a null link, a double retire or its hop
+   bound, so a fault count alone does not show that a reclaimed node was
+   dereferenced. *)
+let poison_check msg =
+  String.starts_with ~prefix:"dereferenced reclaimed node" msg
+
+(* [run_unsafe]'s workload on the soak engine directly, so that the worker
+   body sees each fault's message before the engine counts it.  Returns
+   the faults and how many of them the poison check raised. *)
+let run_faulting name ~seconds =
+  let open Harness in
+  let inst =
+    (Instance.find_builder_exn "HListUnsafe").build
+      (Smr.Registry.find_exn name) ~threads:8 ~config:aggressive ()
+  in
+  Array.iter
+    (fun k -> ignore (inst.insert ~tid:0 k))
+    (Workload.prefill_keys ~range ~seed:1);
+  let poisoned = Atomic.make 0 in
+  let body (w : Soak.worker) =
+    let tid = w.tid in
+    let rng = Workload.Rng.create ~seed:(tid + 1) in
+    let sampler = Workload.sampler Workload.Uniform ~range in
+    fun () ->
+      try
+        while not (Atomic.get w.stop) do
+          let key = Workload.draw sampler rng in
+          ignore
+            (match Workload.op_for rng mix with
+            | Workload.Search -> inst.search ~tid key
+            | Workload.Insert -> inst.insert ~tid key
+            | Workload.Delete -> inst.delete ~tid key)
+        done
+      with Memory.Fault.Use_after_free msg as e ->
+        if poison_check msg then Atomic.incr poisoned;
+        raise e
+  in
+  let o =
+    Soak.run (Soak.instance_target inst) ~workers:8 ~duration:seconds body
+  in
+  (o.faults, Atomic.get poisoned)
 
 (* Table 1's X cells: the robust schemes reclaim what an unchecked
-   traversal is still walking.  The fault is a race; retry a few short
-   rounds until it fires (it fires within the first round in practice). *)
+   traversal is still walking, and the traversal dereferences it.  The
+   fault is a race; retry a few short rounds until the poison check
+   fires. *)
 let test_faults_under name () =
-  let rec attempt n =
-    if n = 0 then Alcotest.failf "unsafe list never faulted under %s" name
+  let rec attempt n faults =
+    if n = 0 then
+      Alcotest.failf
+        "unsafe list never failed the poison check under %s (%d other \
+         faults)"
+        name faults
     else
-      let r = run_unsafe name ~seconds:1.0 ~check:false in
-      if r.faults = 0 then attempt (n - 1)
+      let f, poisoned = run_faulting name ~seconds:1.0 in
+      if poisoned = 0 then attempt (n - 1) (faults + f)
   in
-  attempt 10
+  attempt 10 0
 
 (* Table 1's V cells.  Under EBR and NR nothing an operation can reach is
    reclaimed during it.  Under DBR, with no adversarial stall there is
@@ -151,7 +200,7 @@ let test_faults_under name () =
    key order, and the final size must be the prefill plus the successful
    inserts minus the successful deletes. *)
 let test_safe_under name ~seconds () =
-  let r = run_unsafe name ~seconds ~check:true in
+  let r = run_unsafe name ~seconds in
   Alcotest.(check int) ("no faults under " ^ name) 0 r.faults;
   let hits op =
     List.fold_left
